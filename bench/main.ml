@@ -27,10 +27,7 @@ module Tsp = Shm_apps.Tsp
 module Machines = Shm_platform.Machines
 module Platform = Shm_platform.Platform
 module Report = Shm_platform.Report
-module Dsm_cluster = Shm_platform.Dsm_cluster
-module Machines_reg = Shm_platform.Machines
-module Hs = Shm_platform.Hs
-module Ah = Shm_platform.Ah
+module Topology = Shm_platform.Topology
 module Overhead = Shm_net.Overhead
 module Instrument = Shm_platform.Instrument
 module Engine = Shm_sim.Engine
@@ -139,15 +136,27 @@ let mwater_sim () = ("m-water", Registry.app ~scale:!scale "m-water")
 (* ------------------------------------------------------------------ *)
 (* Platform instances                                                  *)
 
-let dec () = Dsm_cluster.dec_plain ()
+let dec () = Machines.get "dec"
 let ivy () = Machines.get "ivy"
-let tmk () = Dsm_cluster.dec ~level:Dsm_cluster.User ()
-let tmk_kernel () = Dsm_cluster.dec ~level:Dsm_cluster.Kernel ()
-let tmk_eager () = Dsm_cluster.dec ~eager:true ~level:Dsm_cluster.User ()
+let tmk () = Machines.get "treadmarks"
+let tmk_kernel () = Machines.get "treadmarks-kernel"
+let tmk_eager () = Machines.get "treadmarks-eager"
+let erc () = Machines.get "treadmarks-erc"
 let sgi () = Machines.get "sgi"
-let as_machine ?overhead () = Dsm_cluster.as_machine ?overhead ()
-let ah_machine () = Ah.make ()
-let hs_machine ?overhead () = Hs.make ?overhead ()
+let sgi_fast () = Machines.get "sgi-fast"
+let as_machine () = Machines.get "as"
+let ah_machine () = Machines.get "ah"
+let hs_machine () = Machines.get "hs"
+
+(* The Section-3 shapes on a simulated host with a swept messaging
+   overhead (Figures 14-16). *)
+let with_overhead ~name spec overhead =
+  Topology.build ~name
+    ~host:(Topology.host_sim ~overhead ())
+    (fst (Topology.of_string spec))
+
+let as_overhead = with_overhead ~name:"AS" "lrc*256"
+let hs_overhead = with_overhead ~name:"HS8" "lrc(mesi*8 x 32)"
 
 let procs_sec2 = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 let procs_sec3 = [ 1; 8; 16; 32; 64 ]
@@ -494,10 +503,6 @@ let lrc_vs_ivy () =
 
 let lrc_vs_erc () =
   let apps = [ "sor"; "tsp"; "water"; "m-water"; "ilink-clp" ] in
-  let erc () =
-    Dsm_cluster.dec ~protocol:"erc"
-      ~level:Dsm_cluster.User ()
-  in
   let table =
     Table.create
       ~title:
@@ -538,7 +543,7 @@ let lrc_vs_erc () =
 
 let sgi_bus_ablation () =
   let apps = [ "sor"; "sor-square"; "m-water" ] in
-  let fast = Shm_platform.Sgi.make_fast () in
+  let fast = sgi_fast () in
   let table =
     Table.create
       ~title:
@@ -618,11 +623,10 @@ let bd_platforms () =
   [
     ( "treadmarks+bd",
       "TreadMarks",
-      Dsm_cluster.dec ~instrument:Instrument.breakdown_only
-        ~level:Dsm_cluster.User () );
+      Machines.get ~instrument:Instrument.breakdown_only "treadmarks" );
     ( "sgi+bd",
       "SGI 4D/480",
-      Shm_platform.Sgi.make ~instrument:Instrument.breakdown_only () );
+      Machines.get ~instrument:Instrument.breakdown_only "sgi" );
   ]
 
 let breakdown_exhibit () =
@@ -672,8 +676,7 @@ let breakdown_exhibit () =
 let pm_protocols = [ "lrc"; "eager-lrc"; "ivy"; "tardis" ]
 
 let pm_platform p =
-  Dsm_cluster.dec ~protocol:p ~instrument:Instrument.breakdown_only
-    ~level:Dsm_cluster.User ()
+  Machines.get ~protocol:p ~instrument:Instrument.breakdown_only "treadmarks"
 
 let pm_key p = "proto-" ^ p ^ "+bd"
 
@@ -745,7 +748,7 @@ let crash_platforms () =
   [
     ( "treadmarks", "treadmarks+crash",
       tmk (),
-      Dsm_cluster.dec ~crash:churn_policy ~level:Dsm_cluster.User () );
+      Machines.get ~crash:churn_policy "treadmarks" );
     ("ivy", "ivy+crash", ivy (), Machines.get ~crash:churn_policy "ivy");
   ]
 
@@ -1071,10 +1074,6 @@ let plan_lrc_vs_ivy () =
     [ "sor"; "tsp"; "water"; "m-water"; "ilink-clp" ]
 
 let plan_lrc_vs_erc () =
-  let erc () =
-    Dsm_cluster.dec ~protocol:"erc"
-      ~level:Dsm_cluster.User ()
-  in
   List.iter
     (fun name ->
       let app = Registry.app ~scale:!scale name in
@@ -1086,7 +1085,7 @@ let plan_lrc_vs_erc () =
     [ "sor"; "tsp"; "water"; "m-water"; "ilink-clp" ]
 
 let plan_sgi_bus () =
-  let fast = Shm_platform.Sgi.make_fast () in
+  let fast = sgi_fast () in
   List.iter
     (fun name ->
       let app = Registry.app ~scale:!scale name in
@@ -1330,7 +1329,7 @@ let experiments =
       plan =
         (fun () ->
           plan_overhead ~tag:"AS"
-            ~make_platform:(fun ov -> as_machine ~overhead:ov ())
+            ~make_platform:as_overhead
             (sor_sim ()));
       run =
         (fun () ->
@@ -1339,13 +1338,13 @@ let experiments =
               "Figure 14: SOR on AS, software-overhead sweep (fixed/per-word \
                cycles)"
             ~tag:"AS"
-            ~make_platform:(fun ov -> as_machine ~overhead:ov ())
+            ~make_platform:as_overhead
             (sor_sim ())) };
     { id = "f15"; title = "Figure 15: AS M-Water overhead sweep";
       plan =
         (fun () ->
           plan_overhead ~tag:"AS"
-            ~make_platform:(fun ov -> as_machine ~overhead:ov ())
+            ~make_platform:as_overhead
             (mwater_sim ()));
       run =
         (fun () ->
@@ -1354,13 +1353,13 @@ let experiments =
               "Figure 15: M-Water on AS, software-overhead sweep \
                (fixed/per-word cycles)"
             ~tag:"AS"
-            ~make_platform:(fun ov -> as_machine ~overhead:ov ())
+            ~make_platform:as_overhead
             (mwater_sim ())) };
     { id = "f16"; title = "Figure 16: HS M-Water overhead sweep";
       plan =
         (fun () ->
           plan_overhead ~tag:"HS"
-            ~make_platform:(fun ov -> hs_machine ~overhead:ov ())
+            ~make_platform:hs_overhead
             (mwater_sim ()));
       run =
         (fun () ->
@@ -1369,7 +1368,7 @@ let experiments =
               "Figure 16: M-Water on HS, software-overhead sweep \
                (fixed/per-word cycles)"
             ~tag:"HS"
-            ~make_platform:(fun ov -> hs_machine ~overhead:ov ())
+            ~make_platform:hs_overhead
             (mwater_sim ())) };
     { id = "ab1"; title = "Ablation: LRC vs IVY page DSM";
       plan = plan_lrc_vs_ivy; run = lrc_vs_ivy };

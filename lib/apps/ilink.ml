@@ -69,7 +69,6 @@ let family_term ~family ~slot theta_k =
   sin ((theta_k *. float_of_int (family + 1)) +. float_of_int slot)
 
 let work p sh lay costs (ctx : Parmacs.ctx) =
-  assert (ctx.nprocs <= p.slots);
   let ll = ref 0.0 in
   (* The peeling loop interleaves theta reads with result writes, so it
      cannot batch into range ops without reordering accesses; instead the
@@ -139,4 +138,5 @@ let make p =
     work = work p sh lay costs;
     checksum_addr = lay.checksum;
     stats = Parmacs.no_stats;
+    max_procs = p.slots;
   }

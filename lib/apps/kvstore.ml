@@ -333,6 +333,7 @@ let make p =
       work;
       checksum_addr = lay.checksum;
       stats;
+      max_procs = max_int;
     }
   in
   let final () =

@@ -124,7 +124,6 @@ let read_mostly (p : params) lay (ctx : Parmacs.ctx) =
   !sum
 
 let work (p : params) lay (ctx : Parmacs.ctx) =
-  assert (ctx.nprocs <= p.slots);
   let digest =
     match p.kind with
     | Migratory -> migratory p lay ctx
@@ -153,4 +152,5 @@ let make p =
     work = work p lay;
     checksum_addr = lay.checksum;
     stats = Parmacs.no_stats;
+    max_procs = p.slots;
   }

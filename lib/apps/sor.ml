@@ -54,7 +54,6 @@ let init p lay mem =
   done
 
 let work p lay (ctx : Parmacs.ctx) =
-  assert (ctx.nprocs <= p.slots);
   let cols = p.cols in
   let addr i j = lay.grid + (i * cols) + j in
   let lo = 1 + (p.rows * ctx.id / ctx.nprocs) in
@@ -131,6 +130,7 @@ let make p =
     work = work p lay;
     checksum_addr = lay.checksum;
     stats = Parmacs.no_stats;
+    max_procs = p.slots;
   }
 
 let reference p =

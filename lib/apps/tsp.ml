@@ -207,6 +207,7 @@ let make p =
     work = work p lay;
     checksum_addr = lay.checksum;
     stats = Parmacs.no_stats;
+    max_procs = max_int;
   }
 
 let greedy_length p = float_of_int (greedy_tour_length (distances p))

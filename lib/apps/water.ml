@@ -68,7 +68,6 @@ let init p lay mem =
   done
 
 let work p lay (ctx : Parmacs.ctx) =
-  assert (ctx.nprocs <= p.slots);
   let n = p.molecules in
   let lo = n * ctx.id / ctx.nprocs and hi = n * (ctx.id + 1) / ctx.nprocs in
   let buf3 = Array.make 3 0.0 in
@@ -199,4 +198,5 @@ let make p =
     work = work p lay;
     checksum_addr = lay.checksum;
     stats = Parmacs.no_stats;
+    max_procs = p.slots;
   }

@@ -112,6 +112,7 @@ type app = {
   work : ctx -> unit;
   checksum_addr : int;
   stats : unit -> (string * int) list;
+  max_procs : int;
 }
 
 let no_stats () = []

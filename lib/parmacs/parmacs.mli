@@ -112,6 +112,11 @@ type app = {
           request totals and latency percentiles).  Must be a pure
           function of the finished run; most apps have none
           ({!no_stats}). *)
+  max_procs : int;
+      (** the most processors the app's layout seats (apps with one
+          partial-sum slot per processor set it to their [slots]
+          parameter, the rest to [max_int]); platforms refuse larger
+          runs before allocating anything *)
 }
 
 (** The empty [stats] function shared by apps with no app-level counters. *)

@@ -1,19 +1,15 @@
-(** Named platform instances shared by the CLI, examples and benches. *)
+(** Named platform instances shared by the CLI, examples and benches.
+
+    A named platform is a row of data: a topology expression on a host
+    (["lrc*8@dec"], ["lrc(mesi*8 x 32)@sim"], ["1@dec"] for the
+    uniprocessor), the display name its reports carry, and whether it
+    honours the app's eager-release lock hints.  Which fault and crash
+    policies a platform accepts follows from its tree ({!Topology.build}). *)
 
 (** Canonical names: ["dec"], ["treadmarks"], ["treadmarks-kernel"],
     ["treadmarks-eager"], ["treadmarks-erc"], ["ivy"], ["sgi"],
     ["sgi-fast"], ["as"], ["ah"], ["hs"]. *)
 val names : string list
-
-(** Platforms that accept an active fault policy (software DSM over the
-    unreliable ATM fabric). *)
-val fault_capable : string list
-
-(** Platforms that accept an active crash policy — whole-node
-    crash/restart injection with checkpoint-based recovery (DESIGN.md
-    §13).  Currently equal to {!fault_capable}; the Tardis engine
-    additionally refuses to mount under a crash policy on any of them. *)
-val crash_capable : string list
 
 (** Registered coherence-engine names, mountable with [get ?protocol]
     (= {!Shm_engines.names}). *)
@@ -35,13 +31,14 @@ val topology :
     injection with failure-atomic checkpoints and online recovery
     (DESIGN.md §13); [max_cycles] bounds each run with
     {!Shm_sim.Engine.Watchdog} (fault- and crash-mode runs get a generous
-    default backstop).  All three are only meaningful on {!fault_capable}
-    / {!crash_capable} platforms — the hardware platforms model reliable
-    machines and refuse an active policy.  [protocol] overrides the
-    coherence engine the machine mounts (see {!protocols}); machines
-    refuse engines of the wrong kind (a hardware engine on a
-    message-passing cluster and vice versa), and ["dec"] — a uniprocessor
-    — refuses all of them.  [instrument] enables the per-fiber time
+    default backstop).  Active fault and crash policies are accepted only
+    by flat software-DSM platforms (a software-DSM root over bare
+    processors); the others model reliable machines and refuse them.
+    [protocol] replaces the root engine of the machine's tree (see
+    {!protocols}) with one of the same kind — a hardware engine on a
+    message-passing cluster and vice versa is refused, and ["dec"] — a
+    uniprocessor — refuses all of them; the report then carries the
+    name [display ^ "+" ^ protocol].  [instrument] enables the per-fiber time
     breakdown and optional Chrome-trace capture on any platform (see
     {!Instrument}).  A name of the form ["topo:SPEC"] builds the machine
     from the topology expression [SPEC] via {!topology}; a spec names its

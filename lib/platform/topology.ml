@@ -9,8 +9,9 @@ module Private_cache = Shm_memsys.Private_cache
    [Dom] contributes one participant running its own engine over its
    children.  A software-DSM engine at the root spans message-connected
    nodes; hardware engines (snoop bus, directory group) form the levels
-   inside a node.  The builder below is the only place in lib/platform
-   that resolves engine names and wires machines together. *)
+   inside a node.  A bare [Cpus 1] root is the uniprocessor.  The
+   builder below is the only place in lib/platform that resolves engine
+   names; {!Tree_runner} runs every tree it builds. *)
 
 type tree = Cpus of int | Dom of { engine : string; children : tree list }
 
@@ -21,7 +22,8 @@ type host = {
       (* inter-node fabric for a software-DSM root; None on hosts that
          model a single cabinet with no network *)
   cache_cfg : Private_cache.config option;
-      (* per-node private cache of a flat software-DSM cluster *)
+      (* private cache of a bare processor under a software-DSM root,
+         and of the uniprocessor *)
   bus_profile : Shm_proto.hw_profile;
       (* timing profile a flat hardware root mounts with *)
 }
@@ -35,38 +37,24 @@ let host_sim ?(overhead = Overhead.treadmarks_user) () =
     bus_profile = Shm_proto.Crossbar;
   }
 
-let host_dec ?(overhead = Overhead.treadmarks_user) () =
-  {
-    host_name = "dec";
-    clock_mhz = 40.0;
+let host_dec overhead host_name =
+  { host_name; clock_mhz = 40.0;
     fabric_of = Some (fun () -> Fabric.atm_dec ~overhead);
-    cache_cfg = Some Private_cache.dec_config;
-    bus_profile = Shm_proto.Sgi_bus;
-  }
+    cache_cfg = Some Private_cache.dec_config; bus_profile = Shm_proto.Sgi_bus }
 
-let host_sgi () =
-  {
-    host_name = "sgi";
-    clock_mhz = 40.0;
-    fabric_of = None;
-    cache_cfg = None;
-    bus_profile = Shm_proto.Sgi_bus;
-  }
-
-let host_sgi_fast () =
-  { (host_sgi ()) with host_name = "sgi-fast";
-    bus_profile = Shm_proto.Sgi_bus_fast }
+(* The SGI 4D/480 cabinet: a snooping bus and no network. *)
+let host_sgi host_name bus_profile =
+  { host_name; clock_mhz = 40.0; fabric_of = None; cache_cfg = None;
+    bus_profile }
 
 let host_names = [ "sim"; "dec"; "dec-kernel"; "sgi"; "sgi-fast" ]
 
 let host_of_name = function
   | "sim" -> host_sim ()
-  | "dec" -> host_dec ()
-  | "dec-kernel" ->
-      { (host_dec ~overhead:Overhead.treadmarks_kernel ()) with
-        host_name = "dec-kernel" }
-  | "sgi" -> host_sgi ()
-  | "sgi-fast" -> host_sgi_fast ()
+  | "dec" -> host_dec Overhead.treadmarks_user "dec"
+  | "dec-kernel" -> host_dec Overhead.treadmarks_kernel "dec-kernel"
+  | "sgi" -> host_sgi "sgi" Shm_proto.Sgi_bus
+  | "sgi-fast" -> host_sgi "sgi-fast" Shm_proto.Sgi_bus_fast
   | h ->
       invalid_arg
         (Printf.sprintf "unknown topology host %S (known hosts: %s)" h
@@ -151,8 +139,8 @@ let of_string spec =
             bad
               (Printf.sprintf
                  "expected \"*N\" or \"(...)\" after engine %S" engine))
-    | Int _ -> bad "a topology needs a coherence engine at its root, not a bare processor count"
-    | _ -> bad "expected an engine name"
+    | Int k -> Cpus k (* only reachable at the root: the uniprocessor *)
+    | _ -> bad "expected an engine name or a processor count"
   and parse_args acc =
     let item =
       match peek () with
@@ -239,9 +227,9 @@ let validate ~host t =
           fail (Printf.sprintf "domain %S has no members" engine);
         (match (engine_kind engine, depth) with
         | Shm_proto.Sdsm, 0 -> (
-            match host.fabric_of with
-            | Some _ -> ()
-            | None ->
+            match (host.fabric_of, host.cache_cfg) with
+            | Some _, Some _ -> ()
+            | _ ->
                 fail
                   (Printf.sprintf
                      "host %S models a single cabinet with no inter-node \
@@ -271,9 +259,16 @@ let validate ~host t =
         List.iter (structure ~depth:(depth + 1)) children
   in
   match t with
+  | Cpus 1 when host.cache_cfg <> None -> ()
+  | Cpus 1 ->
+      fail
+        (Printf.sprintf
+           "the uniprocessor needs a host with a private cache (sim or \
+            dec), not %S"
+           host.host_name)
   | Cpus _ ->
-      fail "a topology needs a coherence domain at its root, not a bare \
-            processor count"
+      fail "a bare processor count at the root is the uniprocessor and \
+            must be 1; more processors need a coherence domain at the root"
   | Dom _ ->
       structure ~depth:0 t;
       if capacity t < 1 then fail "topology provides no processors"
@@ -282,14 +277,14 @@ let validate ~host t =
 
    A topology declares capacities; a run for [nprocs] processors fills
    leaves greedily left to right and drops the domains left empty, so a
-   half-filled HS-style machine mounts exactly the nodes it uses (the
-   [cpus_of_node] rule of the original HS runner). *)
+   half-filled HS-style machine mounts exactly the nodes it uses.  The
+   trimmed tree comes out with its engines resolved, ready to run. *)
 
 let rec trim t remaining =
   match t with
   | Cpus n ->
       let take = min n remaining in
-      ((if take = 0 then None else Some (Cpus take)), take)
+      ((if take = 0 then None else Some (Tree_runner.Cpus take)), take)
   | Dom { engine; children } ->
       let taken, kept =
         List.fold_left
@@ -299,94 +294,61 @@ let rec trim t remaining =
           (0, []) children
       in
       ( (if taken = 0 then None
-         else Some (Dom { engine; children = List.rev kept })),
+         else Some (Tree_runner.Dom (Shm_engines.get engine, List.rev kept))),
         taken )
-
-let rec to_hier = function
-  | Cpus n -> Hier.Procs n
-  | Dom { engine; children } ->
-      Hier.Dom
-        {
-          Hier.d_engine = Shm_engines.get engine;
-          d_children = List.map to_hier children;
-        }
 
 (* {2 Building} *)
 
-let reject_hybrid_faults name faults crash =
-  if Fabric.faults_active faults then
-    invalid_arg
-      (Printf.sprintf
-         "topology %S has hardware coherence levels below reliable \
-          machine boundaries; network fault injection applies only to \
-          flat software-DSM topologies"
-         name);
-  if Lifecycle.active crash then
-    invalid_arg
-      (Printf.sprintf
-         "topology %S models reliable multiprocessor nodes; whole-node \
-          crash injection applies only to flat software-DSM topologies"
-         name)
+(* Faults and crashes need the per-node memories of a software-DSM root
+   with only bare processors below it.  Deeper trees are refused: a
+   restart would restore a node's memory underneath live hardware cache
+   state, which needs a recovery design of its own. *)
+let flat_dsm = function
+  | Dom { engine; children } ->
+      engine_kind engine = Shm_proto.Sdsm
+      && List.for_all (function Cpus _ -> true | Dom _ -> false) children
+  | Cpus _ -> false
 
 let build ?name ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none)
     ?max_cycles ?(instrument = Instrument.off) ?(eager = false) ~host t =
   validate ~host t;
-  let cap = capacity t in
   let name = match name with Some n -> n | None -> spec_string t host in
-  match t with
-  | Cpus _ -> assert false (* validate refuses *)
-  | Dom { engine; children } -> (
-      let (module E : Shm_proto.ENGINE) = Shm_engines.get engine in
-      match E.kind with
-      | Shm_proto.Sdsm
-        when List.for_all (function Cpus _ -> true | Dom _ -> false) children
-        ->
-          (* Flat software-DSM cluster: per-node memories, private
-             caches, the TLB fast path — the classic runner. *)
-          Sdsm_runner.make ~engine:(module E) ~faults ~crash ?max_cycles
-            ~instrument ~name ~clock_mhz:host.clock_mhz ~max_procs:cap
-            ~fabric_of:(Option.get host.fabric_of)
-            ~cache_cfg:(Option.get host.cache_cfg) ~eager ()
-      | Shm_proto.Sdsm ->
-          (* Hybrid: DSM across the top, hardware domains inside. *)
-          reject_hybrid_faults name faults crash;
-          let fabric_of = Option.get host.fabric_of in
-          let run app ~nprocs =
-            if nprocs > cap then
-              invalid_arg
-                (Printf.sprintf
-                   "topology %S provides %d processors; %d requested" name
-                   cap nprocs);
-            if nprocs < 1 then
-              invalid_arg
-                (Printf.sprintf "topology %S: nprocs must be positive" name);
-            let tops =
-              match trim (Dom { engine; children }) nprocs with
-              | Some (Dom { children; _ }), taken when taken = nprocs ->
-                  List.map to_hier children
-              | _ -> assert false
-            in
-            Hier.run ~engine:(module E) ?max_cycles ~instrument
-              ~platform_name:name ~clock_mhz:host.clock_mhz ~fabric_of ~eager
-              ~tops app ~nprocs
-          in
-          { Platform.name; clock_mhz = host.clock_mhz; max_procs = cap; run }
-      | Shm_proto.Hw ->
-          reject_hybrid_faults name faults crash;
-          {
-            Platform.name;
-            clock_mhz = host.clock_mhz;
-            max_procs = cap;
-            run =
-              Hw_cluster.run ~engine:(module E) ~instrument
-                ~platform_name:name ~clock_mhz:host.clock_mhz
-                ~profile:host.bus_profile;
-          })
+  if not (flat_dsm t) then begin
+    let refuse what =
+      invalid_arg
+        (Printf.sprintf
+           "platform %S is not a flat software-DSM cluster; %s applies only \
+            to a software-DSM root whose members are all bare processors \
+            (e.g. treadmarks, ivy, as, topo:lrc*8)"
+           name what)
+    in
+    if Fabric.faults_active faults then refuse "network fault injection";
+    if Lifecycle.active crash then refuse "whole-node crash injection"
+  end;
+  let cap = capacity t in
+  let run (app : Shm_parmacs.Parmacs.app) ~nprocs =
+    if nprocs < 1 || nprocs > cap then
+      invalid_arg
+        (Printf.sprintf "platform %S provides 1 to %d processors; %d requested"
+           name cap nprocs);
+    if nprocs > app.max_procs then
+      invalid_arg
+        (Printf.sprintf
+           "app %S has %d per-processor slots (its slots parameter); %d \
+            processors requested"
+           app.name app.max_procs nprocs);
+    Tree_runner.run ~name ~clock_mhz:host.clock_mhz ~fabric_of:host.fabric_of
+      ~cache_cfg:host.cache_cfg ~bus_profile:host.bus_profile ~faults ~crash
+      ~max_cycles ~instrument ~eager
+      (Option.get (fst (trim t nprocs)))
+      app ~nprocs
+  in
+  { Platform.name; clock_mhz = host.clock_mhz; max_procs = cap; run }
 
-let of_spec ?faults ?crash ?max_cycles ?instrument ?eager spec =
+let of_spec ?faults ?crash ?max_cycles ?instrument spec =
   let t, host = of_string spec in
   let host =
     match host with Some h -> host_of_name h | None -> host_sim ()
   in
-  build ?faults ?crash ?max_cycles ?instrument ?eager ~host
+  build ?faults ?crash ?max_cycles ?instrument ~host
     ~name:(spec_string t host) t

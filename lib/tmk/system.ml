@@ -237,20 +237,6 @@ let drain_steal fiber nd =
         Engine.advance fiber s)
   end
 
-(* Optional protocol tracing for debugging: set TMKDBG_PAGE / TMKDBG_LOCK
-   to a page or lock id to stream that object's protocol events to
-   stderr (twins, closes, notices, diff applications; requests, forwards,
-   grants, releases). *)
-let debug_page =
-  match Sys.getenv_opt "TMKDBG_PAGE" with
-  | Some v -> int_of_string v
-  | None -> -1
-
-let debug_lock =
-  match Sys.getenv_opt "TMKDBG_LOCK" with
-  | Some v -> int_of_string v
-  | None -> -1
-
 let send t fiber ~src ~dst body =
   Reliable.send t.net fiber ~src ~dst ~class_:(Proto.class_ body)
     ~size:(Proto.sizes body) body
@@ -272,29 +258,42 @@ let zero_size = Msg.sizes ()
 (* Register foreign interval records: remember them, queue per-page
    notices, and invalidate affected valid pages. *)
 let register_records t fiber nd records =
+  let notice (r : Record.t) =
+    if r.creator <> nd.id then
+      List.iter
+        (fun p ->
+          let st = nd.pages.(p) in
+          (* The record may already be in the store (the barrier manager
+             stashes arrival records before its own departure), so the
+             notice test must not depend on store freshness. *)
+          if
+            r.seqno > st.applied.(r.creator)
+            && not (List.mem (r.creator, r.seqno) st.pending)
+          then begin
+            st.pending <- (r.creator, r.seqno) :: st.pending;
+            if st.valid then begin
+              st.valid <- false;
+              update_rights t nd p;
+              Counters.incr t.counters "tmk.invalidations";
+              Engine.instant fiber "tmk.invalidate"
+            end
+          end)
+        r.pages
+  in
   List.iter
     (fun (r : Record.t) ->
+      let before = Record.Store.contiguous nd.store ~creator:r.creator in
       ignore (Record.Store.add nd.store r);
-      if r.creator <> nd.id then
+      notice r;
+      (* [r] may close a gap in front of eager updates parked out of
+         order (see [apply_eager_update]): those are now contiguously
+         known and need their notices too, or a later fault would
+         advance [applied] past them and lose their diffs. *)
+      let hi = Record.Store.contiguous nd.store ~creator:r.creator in
+      if hi > before + 1 then
         List.iter
-          (fun p ->
-            let st = nd.pages.(p) in
-            (* The record may already be in the store (the barrier manager
-               stashes arrival records before its own departure), so the
-               notice test must not depend on store freshness. *)
-            if
-              r.seqno > st.applied.(r.creator)
-              && not (List.mem (r.creator, r.seqno) st.pending)
-            then begin
-              st.pending <- (r.creator, r.seqno) :: st.pending;
-              if st.valid then begin
-                st.valid <- false;
-                update_rights t nd p;
-                Counters.incr t.counters "tmk.invalidations";
-                Engine.instant fiber "tmk.invalidate"
-              end
-            end)
-          r.pages)
+          (fun (q : Record.t) -> if q.seqno <> r.seqno then notice q)
+          (Record.Store.range nd.store ~creator:r.creator ~lo:before ~hi))
     records
 
 (* Records with [lo_vc.(c) < seqno <= hi_vc.(c)], oldest first.  The
@@ -332,10 +331,6 @@ let close_interval t fiber nd =
       nd.seq <- nd.seq + 1;
       nd.vc.(nd.id) <- nd.seq;
       let pages = List.sort compare dirty in
-      if List.mem debug_page pages then
-        Printf.eprintf "node %d closes interval %d with page %d vc=%s\n" nd.id
-          nd.seq debug_page
-          (Format.asprintf "%a" Vc.pp nd.vc);
       List.iter
         (fun p ->
           let st = nd.pages.(p) in
@@ -431,18 +426,6 @@ let apply_diffs t fiber nd ~page items =
   let base = page * t.cfg.page_words in
   List.iter
     (fun ((r : Record.t), (d : Diff.t)) ->
-      if page = debug_page then begin
-        let words =
-          String.concat ","
-            (List.concat_map
-               (fun (run : Diff.run) ->
-                 List.init (Array.length run.words) (fun k ->
-                     Printf.sprintf "%d=%Ld" (run.offset + k) run.words.(k)))
-               d.runs)
-        in
-        Printf.eprintf "node %d applies (%d,%d) page %d: %s\n" nd.id r.creator
-          r.seqno page words
-      end;
       Diff.apply d nd.mem ~base;
       Option.iter (Diff.apply_to_twin d) st.twin;
       Engine.with_category fiber Engine.Diff (fun () ->
@@ -518,9 +501,6 @@ let fault t fiber nd page =
     let expected = Hashtbl.length by_creator in
     Hashtbl.iter
       (fun creator hi ->
-        if page = debug_page then
-          Printf.eprintf "[%d] node %d fault page %d: req to %d (%d,%d]\n"
-            (Engine.clock fiber) nd.id page creator st.applied.(creator) hi;
         send t fiber ~src:nd.id ~dst:creator
           (Proto.Diff_req
              { page; requester = nd.id; req; lo = st.applied.(creator); hi }))
@@ -607,9 +587,6 @@ let ensure_twin t fiber nd page (st : page_state) =
         let twin = Memory.create ~words:t.cfg.page_words in
         Memory.blit ~src:nd.mem ~src_pos:base ~dst:twin ~dst_pos:0
           ~len:t.cfg.page_words;
-        if page = debug_page then
-          Printf.eprintf "node %d twins page %d (c4=%d, seq=%d)\n" nd.id page
-            (Memory.get_int nd.mem (base + 4)) nd.seq;
         Engine.with_category fiber Engine.Twin (fun () ->
             Engine.advance fiber
               ((overhead t).handler
@@ -683,9 +660,6 @@ let write_range_guard t fiber ~node addr words ~f =
    before the token landed here) is served locally: the token stays and
    no message or notice is needed. *)
 let send_grant t fiber nd ~lock ~requester ~req ~req_vc =
-  if lock = debug_lock then
-    Printf.eprintf "[%d] node %d GRANT lock %d to %d (req %d)\n"
-      (Engine.clock fiber) nd.id lock requester req;
   if requester = nd.id then begin
     (* Reserve the lock for the local requester now, so no other
        co-located processor can slip in before it wakes. *)
@@ -708,11 +682,6 @@ let send_grant t fiber nd ~lock ~requester ~req ~req_vc =
    would carry the token away and orphan the queue), else queue. *)
 let deliver_forward t fiber nd ~lock ~requester ~req ~req_vc =
   let ls = nd.locks.(lock) in
-  if lock = debug_lock then
-    Printf.eprintf
-      "[%d] node %d FORWARD lock %d for %d (req %d): token=%b in_use=%b q=%d\n"
-      (Engine.clock fiber) nd.id lock requester req ls.has_token ls.in_use
-      (Queue.length ls.remote_waiters);
   if ls.has_token && (not ls.in_use) && Queue.is_empty ls.remote_waiters then
     send_grant t fiber nd ~lock ~requester ~req ~req_vc
   else Queue.push (requester, req, req_vc) ls.remote_waiters
@@ -720,9 +689,6 @@ let deliver_forward t fiber nd ~lock ~requester ~req ~req_vc =
 let handle_lock_req t fiber nd ~lock ~requester ~req ~req_vc =
   let ls = nd.locks.(lock) in
   let previous_tail = ls.tail in
-  if lock = debug_lock then
-    Printf.eprintf "[%d] node %d MGRREQ lock %d from %d (req %d) tail %d->%d\n"
-      (Engine.clock fiber) nd.id lock requester req previous_tail requester;
   ls.tail <- requester;
   if previous_tail = nd.id then
     deliver_forward t fiber nd ~lock ~requester ~req ~req_vc
@@ -741,9 +707,6 @@ let acquire t fiber ~node ~lock =
   done;
   if ls.has_token then begin
     (* Token already on-node: no messages (paper Section 3.1). *)
-    if lock = debug_lock then
-      Printf.eprintf "[%d] node %d LOCAL lock %d\n" (Engine.clock fiber)
-        nd.id lock;
     ls.in_use <- true;
     Engine.with_category fiber Engine.Protocol (fun () ->
         Engine.advance fiber t.cfg.local_lock_cycles);
@@ -772,9 +735,6 @@ let acquire t fiber ~node ~lock =
            Mailbox.recv fiber mb)
      with
     | Proto.Lock_grant { vc = granter_vc; records; _ } ->
-        if lock = debug_lock then
-          Printf.eprintf "[%d] node %d GOT lock %d (req %d)\n"
-            (Engine.clock fiber) nd.id lock req;
         register_records t fiber nd records;
         Vc.max_into ~into:nd.vc granter_vc;
         ls.has_token <- true;
@@ -829,11 +789,6 @@ let release t fiber ~node ~lock =
   after_close t fiber nd ~lock:(Some lock) closed;
   let ls = nd.locks.(lock) in
   if not ls.in_use then invalid_arg "Tmk.release: lock not held";
-  if lock = debug_lock then
-    Printf.eprintf "[%d] node %d RELEASE lock %d: token=%b q=%d localq=%d\n"
-      (Engine.clock fiber) nd.id lock ls.has_token
-      (Queue.length ls.remote_waiters)
-      (Waitq.waiting ls.local_waiters);
   ls.in_use <- false;
   Engine.advance fiber t.cfg.local_lock_cycles;
   if not (Waitq.wake_one ls.local_waiters ~at:(Engine.clock fiber)) then
@@ -1169,20 +1124,6 @@ let retx_note t = Reliable.pending_note t.net
 (* Introspection                                                       *)
 
 let page_valid t ~node ~page = t.nodes.(node).pages.(page).valid
-
-let dump_lock t ~lock =
-  String.concat "; "
-    (Array.to_list
-       (Array.map
-          (fun nd ->
-            let ls = nd.locks.(lock) in
-            Printf.sprintf
-              "node %d: token=%b in_use=%b remoteq=%d localq=%d tail=%d"
-              nd.id ls.has_token ls.in_use
-              (Queue.length ls.remote_waiters)
-              (Waitq.waiting ls.local_waiters)
-              ls.tail)
-          t.nodes))
 
 let vc t ~node = Vc.copy t.nodes.(node).vc
 

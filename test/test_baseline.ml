@@ -8,9 +8,9 @@
    (16: at 8 or fewer processors HS stays inside one node and sends no
    DSM messages at all).
 
-   Each row is also checked under its topology spelling where the
-   machine has one: a named platform and its spec must build the same
-   machine. *)
+   Each row is also checked under its topology spelling, built through
+   [Machines.topology]; only [treadmarks-eager], whose eager-release
+   lock hints a spec cannot express, has none. *)
 
 module Registry = Shm_apps.Registry
 module Platform = Shm_platform.Platform
@@ -22,6 +22,7 @@ let procs_of = function "dec" -> 1 | "hs" -> 16 | _ -> 8
 (* Second spellings: the topology expression each named machine is. *)
 let specs =
   [
+    ("dec", "1@dec");
     ("treadmarks", "lrc*8@dec");
     ("treadmarks-kernel", "lrc*8@dec-kernel");
     ("treadmarks-erc", "erc*8@dec");

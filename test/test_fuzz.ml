@@ -20,7 +20,6 @@ module Memory = Shm_memsys.Memory
 module Layout = Shm_apps.Layout
 module Platform = Shm_platform.Platform
 module Report = Shm_platform.Report
-module Dsm_cluster = Shm_platform.Dsm_cluster
 module Machines = Shm_platform.Machines
 
 (* A random program: [n_phases] barrier-fenced phases.  In each phase a
@@ -128,6 +127,7 @@ let make_app (prog : program) =
     work;
     checksum_addr = lay.digest;
     stats = Parmacs.no_stats;
+    max_procs = max_int;
   }
 
 (* Read_other sees the PREVIOUS phase's value only if the reader can't
@@ -152,14 +152,13 @@ let gen_racefree_program ~seed ~nprocs ~n_phases ~ops_per_phase =
 
 let platforms () =
   [
-    ("treadmarks", Dsm_cluster.dec ~level:Dsm_cluster.User ());
+    ("treadmarks", Machines.get "treadmarks");
     ("treadmarks-erc",
-     Dsm_cluster.dec ~protocol:"erc"
-       ~level:Dsm_cluster.User ());
+     Machines.get "treadmarks-erc");
     ("ivy", Machines.get "ivy");
     ("sgi", Machines.get "sgi");
     ("ah", Machines.get "ah");
-    ("hs", Shm_platform.Hs.make ~node_cpus:3 ());
+    ("hs", Machines.topology "lrc(mesi*3 x 86)");
   ]
 
 let prop_all_platforms_agree =

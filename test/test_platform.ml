@@ -9,21 +9,17 @@ module Tsp = Shm_apps.Tsp
 module Platform = Shm_platform.Platform
 module Report = Shm_platform.Report
 module Machines = Shm_platform.Machines
-module Dsm_cluster = Shm_platform.Dsm_cluster
-module Hs = Shm_platform.Hs
-module Ah = Shm_platform.Ah
-module Sgi = Shm_platform.Sgi
 module Layout = Shm_apps.Layout
 
 let all_parallel_platforms () =
   [
-    ("treadmarks", Dsm_cluster.dec ~level:Dsm_cluster.User ());
-    ("treadmarks-kernel", Dsm_cluster.dec ~level:Dsm_cluster.Kernel ());
-    ("ivy", Shm_platform.Ivy_cluster.make ());
-    ("sgi", Sgi.make ());
-    ("as", Dsm_cluster.as_machine ());
-    ("ah", Ah.make ());
-    ("hs", Hs.make ~node_cpus:4 ());
+    ("treadmarks", Machines.get "treadmarks");
+    ("treadmarks-kernel", Machines.get "treadmarks-kernel");
+    ("ivy", Machines.get "ivy");
+    ("sgi", Machines.get "sgi");
+    ("as", Machines.get "as");
+    ("ah", Machines.get "ah");
+    ("hs", Machines.topology "lrc(mesi*4 x 64)");
   ]
 
 let run_on name (p : Platform.t) app ~n =
@@ -132,8 +128,8 @@ let test_runs_are_reproducible () =
    lock-heavy program speeds up on the SGI and not on TreadMarks. *)
 let test_lock_heavy_relationship () =
   let app = Registry.app ~scale:Registry.Quick "water" in
-  let tmk = Dsm_cluster.dec ~level:Dsm_cluster.User () in
-  let sgi = Sgi.make () in
+  let tmk = Machines.get "treadmarks" in
+  let sgi = Machines.get "sgi" in
   let t1 = (run_on "tmk" tmk (Registry.app ~scale:Registry.Quick "water") ~n:1).Report.cycles in
   let t8 = (run_on "tmk" tmk app ~n:8).Report.cycles in
   let s1 = (run_on "sgi" sgi (Registry.app ~scale:Registry.Quick "water") ~n:1).Report.cycles in
@@ -149,8 +145,8 @@ let test_lock_heavy_relationship () =
 (* Paper shape: kernel-level TreadMarks is faster than user-level for
    synchronization-heavy programs. *)
 let test_kernel_beats_user_on_water () =
-  let user = Dsm_cluster.dec ~level:Dsm_cluster.User () in
-  let kernel = Dsm_cluster.dec ~level:Dsm_cluster.Kernel () in
+  let user = Machines.get "treadmarks" in
+  let kernel = Machines.get "treadmarks-kernel" in
   let cycles p =
     (run_on "tmk" p (Registry.app ~scale:Registry.Quick "m-water") ~n:8)
       .Report.cycles
