@@ -63,6 +63,24 @@ if grep -nE 'Shm_engines\.' lib/platform/*.ml \
   exit 1
 fi
 
+# One-runner audit (DESIGN.md §15): every machine runs on the tree
+# runner, so exactly one file under lib/platform spawns processor
+# fibers.  A second spawning module would fork the access paths again.
+spawners=$(grep -l 'Engine\.spawn' lib/platform/*.ml | wc -l)
+if [ "$spawners" -ne 1 ]; then
+  echo "ci: $spawners files under lib/platform spawn fibers; only the tree runner may" >&2
+  grep -l 'Engine\.spawn' lib/platform/*.ml >&2 || true
+  exit 1
+fi
+
+# Refusal audit: the --protocol engine-kind refusal is written once, in
+# Machines.get; copies of it drift apart.
+refusers=$(grep -rl 'mount it on one of' lib bin --include='*.ml' | wc -l)
+if [ "$refusers" -ne 1 ]; then
+  echo "ci: the engine-kind refusal appears in $refusers files; keep it in lib/platform/machines.ml" >&2
+  exit 1
+fi
+
 # Bench smoke under a parallel pool: one quick-scale exhibit with
 # --jobs 2 must succeed and emit a valid bench_access/5 JSON report,
 # byte-identical to the same exhibit at --jobs 1 modulo the wall-time

@@ -25,7 +25,7 @@ type host = {
       (* private cache of a bare processor under a software-DSM root,
          and of the uniprocessor *)
   bus_profile : Shm_proto.hw_profile;
-      (* timing profile a flat hardware root mounts with *)
+      (* timing profile a hardware root mounts with *)
 }
 
 let host_sim ?(overhead = Overhead.treadmarks_user) () =

@@ -74,13 +74,14 @@ let guarded ~mem ~fcell ~icell rg wg =
 (* Batched range ops: the guards validate runs, and a private cache, if
    any, is charged for each validated run before its data moves. *)
 let batched f ~mem ~pc ~rguard ~wguard =
-  let via charge guard addr words ~f:move =
+  let via charge guard =
     match pc with
-    | None -> guard addr words ~f:move
+    | None -> guard
     | Some pc ->
-        guard addr words ~f:(fun a l ->
-            charge pc f a l;
-            move a l)
+        fun addr words ~f:move ->
+          guard addr words ~f:(fun a l ->
+              charge pc f a l;
+              move a l)
   in
   Parmacs.range_ops_of_runs ~mem
     ~read_run:(via Private_cache.read_range rguard)
