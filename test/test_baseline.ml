@@ -138,8 +138,8 @@ let test_covers_every_platform () =
 
 let suite =
   [
-    Alcotest.test_case "55 rows pinned by name" `Quick test_named;
-    Alcotest.test_case "55 rows pinned by topology spelling" `Quick
+    Alcotest.test_case "every row pinned by name" `Quick test_named;
+    Alcotest.test_case "every row pinned by topology spelling" `Quick
       test_spelled;
     Alcotest.test_case "every named platform is pinned" `Quick
       test_covers_every_platform;
