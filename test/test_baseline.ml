@@ -16,6 +16,8 @@ module Registry = Shm_apps.Registry
 module Platform = Shm_platform.Platform
 module Report = Shm_platform.Report
 module Machines = Shm_platform.Machines
+module Fabric = Shm_net.Fabric
+module Lifecycle = Shm_sim.Lifecycle
 
 let procs_of = function "dec" -> 1 | "hs" -> 16 | _ -> 8
 
@@ -100,10 +102,10 @@ let digest counters =
        (String.concat "\n"
           (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters)))
 
-let check_row (p : Platform.t) ~label (name, app, cycles, checksum, dg) =
+let check_row ?procs (p : Platform.t) ~label (name, app, cycles, checksum, dg) =
+  let nprocs = match procs with Some n -> n | None -> procs_of name in
   let r =
-    try p.Platform.run (Registry.app ~scale:Registry.Quick app)
-          ~nprocs:(procs_of name)
+    try p.Platform.run (Registry.app ~scale:Registry.Quick app) ~nprocs
     with e ->
       Alcotest.failf "%s: %s failed: %s" label app (Printexc.to_string e)
   in
@@ -136,6 +138,83 @@ let test_covers_every_platform () =
         (List.length (List.filter (fun (n, _, _, _, _) -> n = name) golden)))
     Machines.names
 
+(* The software engines under traffic: every software-DSM protocol
+   mounted on the [treadmarks] machine, at 4 processors, fault-free,
+   under 5% miss and sync drops, and under one crash/restart of node 1
+   with checkpoints every 250k cycles.  Tardis refuses crash injection,
+   so it has no crash rows.  Same pins as above: cycles, checksum and
+   the counter digest, which covers messages, retransmissions and the
+   recovery counters. *)
+
+let sw_faults = { Fabric.no_faults with Fabric.drop_miss = 0.05; drop_sync = 0.05 }
+
+let sw_churn =
+  { Lifecycle.none with
+    Lifecycle.crashes = [ (1, 500_000) ];
+    ckpt_interval = 250_000 }
+
+(* (protocol, mode, app, cycles, checksum as %h, counter digest) *)
+let sw_golden =
+  [
+    ("lrc", "clean", "sor", 1511653, "0x1.70d4575719efep+8", "b6fa7fc6e58ee2b9b15d2d79424157d1");
+    ("lrc", "clean", "tsp", 2216587, "0x1.1f2p+11", "09722ae323bd8ccc49327fdc76e00779");
+    ("lrc", "clean", "water", 61915878, "0x1.293cc893f694dp+8", "0322d18e311a9cb02643848eeda286e1");
+    ("lrc", "drop", "sor", 1627034, "0x1.70d4575719efep+8", "c124f22f539b9f17a3271eccdcfdfe90");
+    ("lrc", "drop", "tsp", 2172419, "0x1.1f2p+11", "9f0fc5edc631242dc0f11f7a07b9e716");
+    ("lrc", "drop", "water", 70934382, "0x1.293cc893f694dp+8", "ddde165e332a66445245113e56713650");
+    ("lrc", "crash", "sor", 2498813, "0x1.70d4575719efep+8", "6c8f060028d31600d122ae25baa713f1");
+    ("lrc", "crash", "tsp", 2417671, "0x1.1f2p+11", "fffd64ba6f797440c228d2e750e8be7d");
+    ("lrc", "crash", "water", 61992940, "0x1.293cc893f694dp+8", "abd92025f0583981fc7003ec58bdcf24");
+    ("eager-lrc", "clean", "sor", 1719081, "0x1.70d4575719efep+8", "9006ab6fcd6047e8aba345dc420bd2ef");
+    ("eager-lrc", "clean", "tsp", 2079699, "0x1.1f2p+11", "ca4ebd3b719bd42499e385909bf85449");
+    ("eager-lrc", "clean", "water", 72559208, "0x1.293cc893f694dp+8", "d62713078db145e6db58b7311025c367");
+    ("eager-lrc", "drop", "sor", 2213225, "0x1.70d4575719efep+8", "20e12cff19beb51dc32e0ce7b7940ac8");
+    ("eager-lrc", "drop", "tsp", 2374607, "0x1.1f2p+11", "17f93269af3453adcc4091e2cba90b0a");
+    ("eager-lrc", "drop", "water", 80865024, "0x1.293cc893f694dp+8", "5d6c67238792f2a1132342ecc3b1d21c");
+    ("eager-lrc", "crash", "sor", 2782412, "0x1.70d4575719efep+8", "19e502aef02823c9f30e48bea3fdc225");
+    ("eager-lrc", "crash", "tsp", 2352586, "0x1.1f2p+11", "516ef18854117229e7878f04ef0b7c26");
+    ("eager-lrc", "crash", "water", 76612536, "0x1.293cc893f694dp+8", "2a61326f7ab097d4b64ee9d13444d807");
+    ("erc", "clean", "sor", 2437679, "0x1.70d4575719efep+8", "d7720207ccfab51b2ec59c09ef486a08");
+    ("erc", "clean", "tsp", 3069380, "0x1.1f2p+11", "df6ba5d75ee2b49673999c671bec468b");
+    ("erc", "clean", "water", 123883613, "0x1.293cc893f694dp+8", "cf448558d90e2b21c4456447af933748");
+    ("erc", "drop", "sor", 2788509, "0x1.70d4575719efep+8", "a97a5a8917ed2b6bff8c7bb83e7b3b74");
+    ("erc", "drop", "tsp", 3859611, "0x1.1f2p+11", "0f3e21c8e98531a77e72cae06e2527f0");
+    ("erc", "drop", "water", 148952336, "0x1.293cc893f694dp+8", "48163ca30d3d025612702fd561ba2a36");
+    ("erc", "crash", "sor", 3475604, "0x1.70d4575719efep+8", "08bf54610e15ca91ed1fa04ec70c26df");
+    ("erc", "crash", "tsp", 4247831, "0x1.1f2p+11", "a11770ed5c3865aca07457112b96d2b5");
+    ("erc", "crash", "water", 128147928, "0x1.293cc893f694dp+8", "60b0e1127bfbb512a804646d48f9ccfa");
+    ("ivy", "clean", "sor", 4978778, "0x1.70d4575719efep+8", "8c71d0a777564d30b6053fd367ef9c07");
+    ("ivy", "clean", "tsp", 5326693, "0x1.1f2p+11", "a1dd67972656dae1ca4bdd7d9fffd119");
+    ("ivy", "clean", "water", 230969541, "0x1.293cc893f694dp+8", "e631cd0da1283853d9a3f2729bb6f4a4");
+    ("ivy", "drop", "sor", 5671117, "0x1.70d4575719efep+8", "5cced2381efb315b27ac6cb4ddec7f99");
+    ("ivy", "drop", "tsp", 5847864, "0x1.1f2p+11", "656d65809f2a8c36a18c15b421882e1d");
+    ("ivy", "drop", "water", 254506304, "0x1.293cc893f694dp+8", "94df8592bc9f645dd90d3c6b280fab4b");
+    ("ivy", "crash", "sor", 6340907, "0x1.70d4575719efep+8", "dad33e062b417326e29d2473fd74006b");
+    ("ivy", "crash", "tsp", 6302180, "0x1.1f2p+11", "769061a0ce844b67a26927027f6c0251");
+    ("ivy", "crash", "water", 246591708, "0x1.293cc893f694dp+8", "053567f8b97bf73913c0d110329ab0ec");
+    ("tardis", "clean", "sor", 3915959, "0x1.70d4575719efep+8", "3d8cdacfa362eae79d13c5b8f7ce8f11");
+    ("tardis", "clean", "tsp", 4682859, "0x1.1f2p+11", "9ddeb5d3fd5542e0f9cbef7eb8b22d01");
+    ("tardis", "clean", "water", 155927757, "0x1.293cc893f694dp+8", "af6dc42c4b5a824370ad44b5aa238ca9");
+    ("tardis", "drop", "sor", 5115377, "0x1.70d4575719efep+8", "fef92c7cc3128c584e3bdc877771d4fd");
+    ("tardis", "drop", "tsp", 5237415, "0x1.1f2p+11", "afed3aadfa80fec94be1caef718a8eb3");
+    ("tardis", "drop", "water", 165528769, "0x1.293cc893f694dp+8", "a7071d4ead9ae830f4dfed38506c2d50");
+  ]
+
+let test_sw_engines () =
+  List.iter
+    (fun (proto, mode, app, cycles, checksum, dg) ->
+      let faults, crash =
+        match mode with
+        | "clean" -> (None, None)
+        | "drop" -> (Some sw_faults, None)
+        | _ -> (None, Some sw_churn)
+      in
+      check_row ~procs:4
+        (Machines.get ?faults ?crash ~protocol:proto "treadmarks")
+        ~label:(proto ^ " " ^ mode)
+        (proto, app, cycles, checksum, dg))
+    sw_golden
+
 let suite =
   [
     Alcotest.test_case "every row pinned by name" `Quick test_named;
@@ -143,4 +222,6 @@ let suite =
       test_spelled;
     Alcotest.test_case "every named platform is pinned" `Quick
       test_covers_every_platform;
+    Alcotest.test_case "software engines pinned under drops and crashes"
+      `Quick test_sw_engines;
   ]
