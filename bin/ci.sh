@@ -34,6 +34,16 @@ if grep -nE 'Fabric\.(send|recv|loopback)' lib/tmk/*.ml lib/ivy/*.ml \
   exit 1
 fi
 
+# Node-kit audit (DESIGN.md §11): the software engines take their
+# request tables, handler daemons and crash-aware channel policy from
+# Shm_proto.Node_kit.  An engine creating its own mailboxes, spawning its
+# own daemons or setting its own reliability policy would fork them again.
+if grep -nE 'Mailbox\.create|~daemon:true|Reliable\.set_policy' \
+     lib/tmk/*.ml lib/ivy/*.ml lib/tardis/*.ml; then
+  echo "ci: software engines must take request tables, handler daemons and crash policy from Shm_proto.Node_kit" >&2
+  exit 1
+fi
+
 # Diagnosability audit: a protocol layer that reaches an impossible state
 # must raise a descriptive error naming the page/requester/state, never
 # a bare `assert false` (DESIGN.md §10 — the Ivy manager's Invalid-state

@@ -156,10 +156,20 @@ let app ~scale ?(params = []) name =
       check [ "molecules"; "steps"; "slots" ];
       let mode = if n = "water" then Water.Locked else Water.Batched in
       let base = water_params ~scale mode in
+      let molecules = pint params "molecules" base.Water.molecules in
+      (* Water takes one lock per molecule, from the one lock-id range
+         every machine provides. *)
+      let max_locks = Shm_memsys.Hw_sync.max_locks in
+      if molecules > max_locks then
+        invalid_arg
+          (Printf.sprintf
+             "app %S: parameter molecules=%d needs one lock per molecule, \
+              but every machine provides %d locks"
+             n molecules max_locks);
       Water.make
         {
           base with
-          Water.molecules = pint params "molecules" base.Water.molecules;
+          Water.molecules;
           steps = pint params "steps" base.Water.steps;
           slots = pint params "slots" base.Water.slots;
         }

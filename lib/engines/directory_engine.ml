@@ -26,7 +26,6 @@ let mount (ctx : Shm_proto.ctx) =
   let sync = Hw_sync.create ctx.eng access ~base:ctx.shared_words ~nprocs:ctx.nodes in
   {
     Shm_proto.i_name = name;
-    page_shift = -1;
     wordwise_ranges = false;
     access_rights = None;
     set_page_hook = (fun _ -> ());

@@ -1,12 +1,9 @@
 module Engine = Shm_sim.Engine
-module Mailbox = Shm_sim.Mailbox
-module Waitq = Shm_sim.Waitq
-module Fabric = Shm_net.Fabric
-module Reliable = Shm_net.Reliable
 module Msg = Shm_net.Msg
 module Memory = Shm_memsys.Memory
+module Hw_sync = Shm_memsys.Hw_sync
 module Counters = Shm_stats.Counters
-module Lifecycle = Shm_sim.Lifecycle
+module K = Shm_proto.Node_kit
 module Iset = Set.Make (Int)
 
 type page_access = Invalid | Read | Write
@@ -18,22 +15,7 @@ let access_name = function
 
 type pending_txn = { kind : page_access; requester : int; req : int }
 
-exception
-  Proto_error of {
-    page : int;
-    requester : int;
-    manager : int;
-    state : string;
-  }
-
-let () =
-  Printexc.register_printer (function
-    | Proto_error { page; requester; manager; state } ->
-        Some
-          (Printf.sprintf
-             "Ivy.Proto_error: page %d, requester %d, manager %d: %s" page
-             requester manager state)
-    | _ -> None)
+exception Proto_error = K.Proto_error
 
 (* Manager-side record for a page it manages. *)
 type mpage = {
@@ -60,43 +42,30 @@ type node = {
   mem : Memory.t;
   access : page_access array;
   rights : Bytes.t;
-      (** software TLB mirroring [access]: ['\000'] Invalid, ['\001'] Read,
-          ['\002'] Write — consulted by the platforms' fast paths. *)
+      (** the kit's software TLB for this node, mirroring [access]:
+          ['\000'] Invalid, ['\001'] Read, ['\002'] Write *)
   mpages : (int, mpage) Hashtbl.t;  (** pages this node manages *)
   mlocks : (int, mlock) Hashtbl.t;  (** locks this node manages *)
-  pending_reqs : (int, Proto.t Mailbox.t) Hashtbl.t;
-  mutable next_req : int;
-  inflight : (int, Waitq.t) Hashtbl.t;
-  steal : int ref;
   mutable recov : recov option;  (** checkpoint state; [None] = crash-free *)
 }
 
 type barrier_state = { mutable arrivals : (int * int) list }
 
 type t = {
-  eng : Engine.t;
+  k : Proto.t K.t;
   counters : Counters.t;
-  net : Proto.t Reliable.t;
   page_words : int;
   n_pages : int;
   n_nodes : int;
   nodes : node array;
   barriers : barrier_state array;
-  page_shift : int;  (** log2 page_words, or -1 if not a power of two *)
-  mutable page_hook : node:int -> page:int -> unit;
   lock_home : (int, int) Hashtbl.t;
       (** re-homed lock managers; empty (fall through to the static
           [lock mod n_nodes] mapping) until a crash moves one *)
   mutable barrier_home : int;  (** current barrier manager; starts at 0 *)
-  lifecycle : Lifecycle.t option;
 }
 
-let page_of t addr =
-  if t.page_shift >= 0 then addr lsr t.page_shift else addr / t.page_words
-
-let page_shift t = t.page_shift
-
-let access_rights t ~node = t.nodes.(node).rights
+let kit t = t.k
 
 (* Every [access] transition goes through here so the TLB mirror never
    drifts.  A transition to [Write] marks the page for the next
@@ -112,8 +81,6 @@ let set_access nd page (a : page_access) =
 
 let memory t ~node = t.nodes.(node).mem
 
-let set_page_hook t f = t.page_hook <- f
-
 let manager_of t page = page mod t.n_nodes
 
 (* The page directory is deliberately NOT re-homed on a crash: requests
@@ -125,11 +92,16 @@ let lock_manager_of t lock =
   | Some home -> home
   | None -> lock mod t.n_nodes
 
-let overhead t = (Fabric.config (Reliable.fabric t.net)).Fabric.overhead
+let overhead t = K.overhead t.k
 
 let create ?lifecycle eng counters fabric ~page_words ~shared_words ~memories =
   let n_nodes = Array.length memories in
   let n_pages = (shared_words + page_words - 1) / page_words in
+  let k =
+    K.create ?lifecycle eng counters fabric ~class_of:Proto.class_
+      ~size_of:Proto.sizes ~nodes:n_nodes ~page_words ~shared_words
+      ~rights:'\001'
+  in
   let mk_node id =
     let mpages = Hashtbl.create 64 in
     for p = 0 to n_pages - 1 do
@@ -148,13 +120,9 @@ let create ?lifecycle eng counters fabric ~page_words ~shared_words ~memories =
       id;
       mem = memories.(id);
       access = Array.make n_pages Read;
-      rights = Bytes.make n_pages (if n_nodes = 1 then '\002' else '\001');
+      rights = K.rights k ~node:id;
       mpages;
       mlocks = Hashtbl.create 16;
-      pending_reqs = Hashtbl.create 16;
-      next_req = 0;
-      inflight = Hashtbl.create 8;
-      steal = ref 0;
       recov = None;
     }
   in
@@ -162,65 +130,27 @@ let create ?lifecycle eng counters fabric ~page_words ~shared_words ~memories =
      else; ownership only matters once someone writes. *)
   let t =
     {
-      eng;
+      k;
       counters;
-      net = Reliable.create eng counters fabric;
       page_words;
       n_pages;
       n_nodes;
       nodes = Array.init n_nodes mk_node;
-      barriers = Array.init 16 (fun _ -> { arrivals = [] });
-      page_shift =
-        (if page_words > 0 && page_words land (page_words - 1) = 0 then
-           let rec go s n = if n = 1 then s else go (s + 1) (n lsr 1) in
-           go 0 page_words
-         else -1);
-      page_hook = (fun ~node:_ ~page:_ -> ());
+      barriers = Array.init Hw_sync.max_barriers (fun _ -> { arrivals = [] });
       lock_home = Hashtbl.create 8;
       barrier_home = 0;
-      lifecycle;
     }
   in
-  (match lifecycle with
-  | None -> ()
-  | Some _ ->
-      (* Crash-aware reliability: suspected deaths are reported once per
-         packet and timers park at the peer's restart instead of
-         aborting (see the TreadMarks counterpart). *)
-      Reliable.set_policy t.net
-        {
-          Reliable.default_policy with
-          Reliable.backoff_cap = 6;
-          on_peer_down = Some (fun ~src:_ ~dst:_ ~attempts:_ -> ());
-        };
-      let words = n_pages * page_words in
-      Array.iter
-        (fun nd ->
-          let image = Memory.create ~words in
-          Memory.blit ~src:nd.mem ~src_pos:0 ~dst:image ~dst_pos:0 ~len:words;
-          nd.recov <-
-            Some { image; ckpt_dirty = Bytes.make n_pages '\000' })
-        t.nodes);
+  if lifecycle <> None then begin
+    let words = n_pages * page_words in
+    Array.iter
+      (fun nd ->
+        let image = Memory.create ~words in
+        Memory.blit ~src:nd.mem ~src_pos:0 ~dst:image ~dst_pos:0 ~len:words;
+        nd.recov <- Some { image; ckpt_dirty = Bytes.make n_pages '\000' })
+      t.nodes
+  end;
   t
-
-let fresh_req nd =
-  let r = nd.next_req in
-  nd.next_req <- r + 1;
-  r
-
-let register_req t nd req =
-  let mb = Mailbox.create t.eng in
-  Hashtbl.replace nd.pending_reqs req mb;
-  mb
-
-let drain_steal fiber nd =
-  let s = !(nd.steal) in
-  if s > 0 then begin
-    nd.steal := 0;
-    (* Handler CPU time charged to the application is protocol overhead. *)
-    Engine.with_category fiber Engine.Protocol (fun () ->
-        Engine.advance fiber s)
-  end
 
 let page_data t nd page =
   Array.init t.page_words (fun k ->
@@ -234,15 +164,13 @@ let install_page t fiber nd page data =
   | Some rv -> Bytes.unsafe_set rv.ckpt_dirty page '\001'
   | None -> ());
   Engine.advance fiber t.page_words;
-  t.page_hook ~node:nd.id ~page
+  K.page_changed t.k ~node:nd.id ~page
 
 (* Deliver [body] to [dst]: over the fabric, or by running the dispatch
    inline when [dst] is the local node (no message, no cost). *)
 let rec deliver t fiber ~src ~dst body =
   if src = dst then dispatch t fiber t.nodes.(dst) ~src body
-  else
-    Reliable.send t.net fiber ~src ~dst ~class_:(Proto.class_ body)
-      ~size:(Proto.sizes body) body
+  else K.send t.k fiber ~src ~dst body
 
 (* ---------------- manager-side page state machine ------------------ *)
 
@@ -280,7 +208,7 @@ and mgr_start_txn t fiber mgr page (txn : pending_txn) =
              manager = mgr.id;
              state =
                Printf.sprintf
-                 "transaction kind %s (req %d); manager state: owner=%d \
+                 "ivy: transaction kind %s (req %d); manager state: owner=%d \
                   copyset={%s} busy=%b acks_waited=%d queued=%d"
                  (access_name txn.kind) txn.req mp.owner
                  (String.concat ","
@@ -363,11 +291,6 @@ and mgr_barrier_arrive t fiber mgr ~id ~node ~req =
 
 (* ---------------- message dispatch --------------------------------- *)
 
-and route_response nd ~req body ~at =
-  match Hashtbl.find_opt nd.pending_reqs req with
-  | Some mb -> Mailbox.post mb ~at body
-  | None -> failwith "ivy: response without pending request"
-
 and dispatch t fiber nd ~src body =
   ignore src;
   match body with
@@ -426,7 +349,7 @@ and dispatch t fiber nd ~src body =
       else mgr_barrier_arrive t fiber nd ~id:barrier ~node ~req
   | Proto.Page_copy { req; _ } | Proto.Page_grant { req; _ }
   | Proto.Lock_grant { req; _ } | Proto.Barrier_depart { req; _ } ->
-      route_response nd ~req body ~at:(Engine.clock fiber)
+      K.post t.k ~node:nd.id ~req body ~at:(Engine.clock fiber)
 
 (* ---------------- crash recovery (DESIGN.md §13) ------------------- *)
 
@@ -462,7 +385,7 @@ let checkpoint t nd =
           if nd.access.(p) <> Write then Bytes.set rv.ckpt_dirty p '\000'
         end
       done;
-      nd.steal := !(nd.steal) + (overhead t).handler + !copied;
+      K.charge t.k nd.id ((overhead t).handler + !copied);
       Counters.incr t.counters "ckpt.count";
       Counters.add t.counters "ckpt.bytes" !bytes
 
@@ -477,7 +400,8 @@ let rejoin t nd =
   | None -> ()
   | Some _ ->
       for p = 0 to t.n_pages - 1 do
-        if nd.access.(p) <> Invalid && not (Hashtbl.mem nd.inflight p) then begin
+        if nd.access.(p) <> Invalid && not (K.fetching t.k ~node:nd.id p)
+        then begin
           let mp = Hashtbl.find t.nodes.(manager_of t p).mpages p in
           let ours =
             mp.owner = nd.id
@@ -489,13 +413,13 @@ let rejoin t nd =
           in
           if not ours then begin
             set_access nd p Invalid;
-            t.page_hook ~node:nd.id ~page:p;
+            K.page_changed t.k ~node:nd.id ~page:p;
             Counters.incr t.counters "recovery.invalidated"
           end
         end
       done;
       let cycles = (overhead t).handler + t.n_pages in
-      nd.steal := !(nd.steal) + cycles;
+      K.charge t.k nd.id cycles;
       Counters.incr t.counters "recovery.count";
       Counters.add t.counters "recovery.cycles" cycles
 
@@ -504,84 +428,47 @@ let rejoin t nd =
    state), so holders and queued waiters survive the move; requests that
    still name the dead node are forwarded by its handler after restart.
    The page directory is NOT re-homed — see [lock_manager_of]. *)
-let rehome t lc ~dead =
-  let successor =
-    let rec go k =
-      if k >= t.n_nodes then None
-      else
-        let c = (dead + k) mod t.n_nodes in
-        if Lifecycle.alive lc c then Some c else go (k + 1)
-    in
-    go 1
-  in
-  match successor with
-  | None -> ()
-  | Some s ->
-      let moved = ref 0 in
-      Hashtbl.iter
-        (fun lock ml ->
-          if lock_manager_of t lock = dead then begin
-            Hashtbl.replace t.lock_home lock s;
-            Hashtbl.replace t.nodes.(s).mlocks lock ml;
-            incr moved
-          end)
-        t.nodes.(dead).mlocks;
-      if t.barrier_home = dead then begin
-        (* Arrival state lives in [t.barriers], visible to the successor;
-           only the role moves. *)
-        t.barrier_home <- s;
+let rehome t ~dead s =
+  let moved = ref 0 in
+  Hashtbl.iter
+    (fun lock ml ->
+      if lock_manager_of t lock = dead then begin
+        Hashtbl.replace t.lock_home lock s;
+        Hashtbl.replace t.nodes.(s).mlocks lock ml;
         incr moved
-      end;
-      if !moved > 0 then Counters.add t.counters "recovery.rehomes" !moved
-
-let handler_loop t nd fiber =
-  let ov = overhead t in
-  let rec loop () =
-    let env =
-      Engine.with_category fiber Engine.Net_wait (fun () ->
-          Reliable.recv t.net fiber ~node:nd.id)
-    in
-    Engine.with_category fiber Engine.Protocol (fun () ->
-        Engine.advance fiber ov.handler;
-        (* CPU time spent serving: charged back to the application unless
-           the message completes one of its own waits. *)
-        (match env.Msg.body with
-        | Proto.Page_copy _ | Proto.Page_grant _ | Proto.Lock_grant _
-        | Proto.Barrier_depart _ ->
-            ()
-        | _ -> nd.steal := !(nd.steal) + ov.handler + ov.fixed_recv);
-        dispatch t fiber nd ~src:env.Msg.src env.Msg.body);
-    loop ()
-  in
-  loop ()
+      end)
+    t.nodes.(dead).mlocks;
+  if t.barrier_home = dead then begin
+    (* Arrival state lives in [t.barriers], visible to the successor;
+       only the role moves. *)
+    t.barrier_home <- s;
+    incr moved
+  end;
+  if !moved > 0 then Counters.add t.counters "recovery.rehomes" !moved
 
 let start t =
-  Reliable.start t.net;
-  (match t.lifecycle with
-  | None -> ()
-  | Some lc ->
-      Lifecycle.on_ckpt lc (fun ~at:_ ->
-          Array.iter
-            (fun nd -> if Lifecycle.alive lc nd.id then checkpoint t nd)
-            t.nodes);
-      Lifecycle.on_detect lc (fun ~node ~at:_ -> rehome t lc ~dead:node);
-      Lifecycle.on_restart lc (fun ~node ~at:_ -> rejoin t t.nodes.(node)));
-  Array.iter
-    (fun nd ->
-      ignore
-        (Engine.spawn t.eng ~daemon:true
-           ~name:(Printf.sprintf "ivy-handler-%d" nd.id)
-           ~at:0
-           (fun fiber -> handler_loop t nd fiber)))
-    t.nodes
-
-let retx_note t = Reliable.pending_note t.net
+  let ov = overhead t in
+  K.start t.k ~name:"ivy"
+    ~recovery:
+      {
+        K.ckpt = (fun node -> checkpoint t t.nodes.(node));
+        rehome = rehome t;
+        rejoin = (fun node -> rejoin t t.nodes.(node));
+      }
+    (fun fiber node env ->
+      Engine.advance fiber ov.handler;
+      (* CPU time spent serving: charged back to the application unless
+         the message completes one of its own waits. *)
+      (match env.Msg.body with
+      | Proto.Page_copy _ | Proto.Page_grant _ | Proto.Lock_grant _
+      | Proto.Barrier_depart _ ->
+          ()
+      | _ -> K.charge t.k node (ov.handler + ov.fixed_recv));
+      dispatch t fiber t.nodes.(node) ~src:env.Msg.src env.Msg.body)
 
 (* ---------------- application-facing operations -------------------- *)
 
 let fault t fiber nd page (kind : page_access) =
-  Engine.sync fiber;
-  drain_steal fiber nd;
   let want_write = kind = Write in
   let satisfied () =
     match nd.access.(page) with
@@ -589,37 +476,18 @@ let fault t fiber nd page (kind : page_access) =
     | Read -> not want_write
     | Invalid -> false
   in
-  let rec wait_turn () =
-    match Hashtbl.find_opt nd.inflight page with
-    | Some wq when not (satisfied ()) ->
-        (* Another co-located processor is fetching this page. *)
-        Engine.with_category fiber Engine.Net_wait (fun () ->
-            Waitq.wait fiber wq);
-        wait_turn ()
-    | Some _ | None -> ()
-  in
-  wait_turn ();
-  if not (satisfied ()) then
-  Engine.with_category fiber Engine.Protocol @@ fun () ->
-  begin
-    let wq = Waitq.create t.eng in
-    Hashtbl.replace nd.inflight page wq;
-    Counters.incr t.counters
-      (if want_write then "ivy.write_faults" else "ivy.read_faults");
-    Engine.instant fiber "ivy.fault";
-    Engine.advance fiber (overhead t).handler;
-    let req = fresh_req nd in
-    let mb = register_req t nd req in
-    let mgr = manager_of t page in
-    let body =
-      if want_write then Proto.Write_req { page; requester = nd.id; req }
-      else Proto.Read_req { page; requester = nd.id; req }
-    in
-    deliver t fiber ~src:nd.id ~dst:mgr body;
-    (match
-       Engine.with_category fiber Engine.Net_wait (fun () ->
-           Mailbox.recv fiber mb)
-     with
+  K.fetch t.k fiber ~node:nd.id page ~ready:satisfied @@ fun () ->
+  Counters.incr t.counters
+    (if want_write then "ivy.write_faults" else "ivy.read_faults");
+  Engine.instant fiber "ivy.fault";
+  Engine.advance fiber (overhead t).handler;
+  let mgr = manager_of t page in
+  K.call t.k fiber ~node:nd.id Engine.Net_wait
+    (fun req ->
+      deliver t fiber ~src:nd.id ~dst:mgr
+        (if want_write then Proto.Write_req { page; requester = nd.id; req }
+         else Proto.Read_req { page; requester = nd.id; req }))
+    (function
     | Proto.Page_copy { data; _ } ->
         install_page t fiber nd page data;
         set_access nd page Read
@@ -627,118 +495,66 @@ let fault t fiber nd page (kind : page_access) =
         Option.iter (install_page t fiber nd page) data;
         set_access nd page Write
     | _ -> failwith "ivy: unexpected fault response");
-    deliver t fiber ~src:nd.id ~dst:mgr
-      (Proto.Txn_done
-         { page; requester = nd.id; write = (if want_write then 1 else 0) });
-    Hashtbl.remove nd.pending_reqs req;
-    Hashtbl.remove nd.inflight page;
-    ignore (Waitq.wake_all wq ~at:(Engine.clock fiber))
-  end
+  deliver t fiber ~src:nd.id ~dst:mgr
+    (Proto.Txn_done
+       { page; requester = nd.id; write = (if want_write then 1 else 0) })
 
+let read_page t fiber nd page =
+  while nd.access.(page) = Invalid do
+    fault t fiber nd page Read
+  done
+
+let write_page t fiber nd page =
+  while nd.access.(page) <> Write do
+    fault t fiber nd page Write
+  done
+
+(* A single process never write-protects pages. *)
 let read_guard t fiber ~node addr =
-  if t.n_nodes > 1 then begin
-    let nd = t.nodes.(node) in
-    let page = page_of t addr in
-    while nd.access.(page) = Invalid do
-      fault t fiber nd page Read
-    done
-  end
+  if t.n_nodes > 1 then read_page t fiber t.nodes.(node) (K.page_of t.k addr)
 
 let write_guard t fiber ~node addr =
-  (* A single process never write-protects pages. *)
-  if t.n_nodes > 1 then begin
-    let nd = t.nodes.(node) in
-    let page = page_of t addr in
-    while nd.access.(page) <> Write do
-      fault t fiber nd page Write
-    done
-  end
-
-(* Range guards: one guard per overlapped page, in address order, handing
-   each in-page run to [f run_addr run_words] right after its guard — the
-   per-page interleaving keeps the sequence observably identical to the
-   per-word loop (see the TreadMarks counterpart).  [f] must not yield. *)
+  if t.n_nodes > 1 then write_page t fiber t.nodes.(node) (K.page_of t.k addr)
 
 let read_range_guard t fiber ~node addr words ~f =
   if t.n_nodes = 1 then f addr words
-  else begin
-    let nd = t.nodes.(node) in
-    let pw = t.page_words in
-    let stop = addr + words in
-    let a = ref addr in
-    while !a < stop do
-      let page = page_of t !a in
-      let run = min ((page + 1) * pw) stop - !a in
-      while nd.access.(page) = Invalid do
-        fault t fiber nd page Read
-      done;
-      f !a run;
-      a := !a + run
-    done
-  end
+  else K.walk t.k addr words ~f ~guard:(read_page t fiber t.nodes.(node))
 
 let write_range_guard t fiber ~node addr words ~f =
   if t.n_nodes = 1 then f addr words
-  else begin
-    let nd = t.nodes.(node) in
-    let pw = t.page_words in
-    let stop = addr + words in
-    let a = ref addr in
-    while !a < stop do
-      let page = page_of t !a in
-      let run = min ((page + 1) * pw) stop - !a in
-      while nd.access.(page) <> Write do
-        fault t fiber nd page Write
-      done;
-      f !a run;
-      a := !a + run
-    done
-  end
+  else K.walk t.k addr words ~f ~guard:(write_page t fiber t.nodes.(node))
 
 let acquire t fiber ~node ~lock =
-  let nd = t.nodes.(node) in
-  Engine.sync fiber;
-  drain_steal fiber nd;
+  K.check_lock lock;
+  K.enter t.k fiber node;
   Engine.with_category fiber Engine.Protocol @@ fun () ->
-  let req = fresh_req nd in
-  let mb = register_req t nd req in
-  deliver t fiber ~src:nd.id
-    ~dst:(lock_manager_of t lock)
-    (Proto.Lock_req { lock; requester = nd.id; req });
-  (match
-     Engine.with_category fiber Engine.Lock_wait (fun () ->
-         Mailbox.recv fiber mb)
-   with
-  | Proto.Lock_grant _ -> ()
-  | _ -> failwith "ivy: unexpected lock response");
-  Hashtbl.remove nd.pending_reqs req;
+  K.call t.k fiber ~node Engine.Lock_wait
+    (fun req ->
+      deliver t fiber ~src:node ~dst:(lock_manager_of t lock)
+        (Proto.Lock_req { lock; requester = node; req }))
+    (function
+    | Proto.Lock_grant _ -> ()
+    | _ -> failwith "ivy: unexpected lock response");
   Counters.incr t.counters "ivy.lock_acquires"
 
 let release t fiber ~node ~lock =
-  let nd = t.nodes.(node) in
-  Engine.sync fiber;
-  drain_steal fiber nd;
+  K.check_lock lock;
+  K.enter t.k fiber node;
   Engine.with_category fiber Engine.Protocol (fun () ->
-      deliver t fiber ~src:nd.id
-        ~dst:(lock_manager_of t lock)
-        (Proto.Unlock { lock; requester = nd.id }))
+      deliver t fiber ~src:node ~dst:(lock_manager_of t lock)
+        (Proto.Unlock { lock; requester = node }))
 
 let barrier_arrive t fiber ~node ~id =
-  let nd = t.nodes.(node) in
-  Engine.sync fiber;
-  drain_steal fiber nd;
+  K.check_barrier id;
+  K.enter t.k fiber node;
   Engine.with_category fiber Engine.Protocol @@ fun () ->
-  let req = fresh_req nd in
-  let mb = register_req t nd req in
-  deliver t fiber ~src:nd.id ~dst:t.barrier_home
-    (Proto.Barrier_arrive { barrier = id; node = nd.id; req });
-  (match
-     Engine.with_category fiber Engine.Barrier_wait (fun () ->
-         Mailbox.recv fiber mb)
-   with
-  | Proto.Barrier_depart _ -> ()
-  | _ -> failwith "ivy: unexpected barrier response");
-  Hashtbl.remove nd.pending_reqs req
+  K.call t.k fiber ~node Engine.Barrier_wait
+    (fun req ->
+      deliver t fiber ~src:node ~dst:t.barrier_home
+        (Proto.Barrier_arrive { barrier = id; node; req }))
+    (function
+    | Proto.Barrier_depart _ -> ()
+    | _ -> failwith "ivy: unexpected barrier response")
 
 let check_invariants t =
   for page = 0 to t.n_pages - 1 do

@@ -20,10 +20,8 @@ type t
 
 (** Raised when a protocol message violates the manager's page state
     machine (e.g. a transaction with an [Invalid] access kind, which no
-    well-formed request produces).  Carries the page, the requesting node,
-    the manager node, and a rendered manager-state description, so a
-    protocol bug surfaced under a chaos schedule is diagnosable from the
-    exception alone (a [Printexc] printer is registered). *)
+    well-formed request produces); the kit's one protocol-error
+    exception, re-exported. *)
 exception
   Proto_error of {
     page : int;
@@ -43,7 +41,8 @@ exception
     page requests to a down manager stall in retransmit queues until it
     restarts (documented deviation).  The caller must attach the same
     lifecycle to the fabric before [create].  Without [?lifecycle] every
-    code path is byte-identical to the pre-crash-layer system. *)
+    code path is byte-identical to the pre-crash-layer system.  Raises
+    [Invalid_argument] when [page_words] is not a power of two. *)
 val create :
   ?lifecycle:Shm_sim.Lifecycle.t ->
   Shm_sim.Engine.t ->
@@ -56,27 +55,10 @@ val create :
 
 val memory : t -> node:int -> Shm_memsys.Memory.t
 
-(** [set_page_hook t f]: [f ~node ~page] fires when a page's contents are
-    replaced (so platforms can invalidate cached lines). *)
-val set_page_hook : t -> (node:int -> page:int -> unit) -> unit
+(** [kit t] is the node kit the system runs on. *)
+val kit : t -> Proto.t Shm_proto.Node_kit.t
 
 val start : t -> unit
-
-(** [retx_note t] is {!Shm_net.Reliable.pending_note} for the system's
-    channel — pass as [diag] to {!Shm_sim.Engine.run}. *)
-val retx_note : t -> string
-
-val page_of : t -> int -> int
-
-(** [page_shift t] is [log2 page_words], or [-1] when [page_words] is not
-    a power of two (then the TLB fast path must not be used). *)
-val page_shift : t -> int
-
-(** [access_rights t ~node]: one byte per page mirroring the node's access
-    — ['\000'] Invalid, ['\001'] Read, ['\002'] Write.  Read-only for
-    callers; platforms index it with [addr lsr page_shift] to skip the
-    guard call when the page is already accessible. *)
-val access_rights : t -> node:int -> Bytes.t
 
 val read_guard : t -> Shm_sim.Engine.fiber -> node:int -> int -> unit
 

@@ -37,13 +37,22 @@ let waitq tbl eng key =
       Hashtbl.add tbl key wq;
       wq
 
+let check_id what limit id =
+  if id < 0 || id >= limit then
+    invalid_arg
+      (Printf.sprintf
+         "%s id %d out of range: every machine provides %s ids 0..%d" what id
+         what (limit - 1))
+
+let check_lock l = check_id "lock" max_locks l
+let check_barrier b = check_id "barrier" max_barriers b
+
 let lock_addr t l =
-  if l < 0 || l >= max_locks then invalid_arg "Hw_sync: lock id out of range";
+  check_lock l;
   t.base + l
 
 let counter_addr t b =
-  if b < 0 || b >= max_barriers then
-    invalid_arg "Hw_sync: barrier id out of range";
+  check_barrier b;
   t.base + max_locks + b
 
 let generation_addr t b = t.base + max_locks + max_barriers + b

@@ -19,6 +19,13 @@ val max_barriers : int
 
 val region_words : int
 
+(** [check_lock l] and [check_barrier b] raise [Invalid_argument] with one
+    message for every machine when an id is outside [0 .. max_locks - 1]
+    (resp. [max_barriers - 1]). *)
+val check_lock : int -> unit
+
+val check_barrier : int -> unit
+
 type t
 
 (** [create eng access ~base ~nprocs] places the sync region at word

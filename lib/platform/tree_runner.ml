@@ -25,6 +25,12 @@ type tree = Cpus of int | Dom of (module Shm_proto.ENGINE) * tree list
 
 let page_words = 512
 
+(* log2 page_words: the software-TLB fast path indexes a node's rights
+   bytes with [addr lsr page_shift]. *)
+let page_shift =
+  let rec go s = if 1 lsl s >= page_words then s else go (s + 1) in
+  go 0
+
 (* Backstop for fault-mode runs with no explicit max_cycles: generous
    enough for any paper-scale run (~1e10 cycles), small enough that a
    retransmission livelock surfaces as Engine.Watchdog instead of an
@@ -222,10 +228,7 @@ let run ~name ~clock_mhz ~fabric_of ~cache_cfg ~bus_profile ~faults ~crash
             match t with
             | Some d -> mount_dom ~above:[] d
             | None ->
-                if
-                  inst.Shm_proto.access_rights = None
-                  || inst.Shm_proto.page_shift < 0
-                then
+                if inst.Shm_proto.access_rights = None then
                   invalid_arg
                     (Printf.sprintf
                        "platform %S: engine %S provides no page table for \
@@ -374,7 +377,7 @@ let run ~name ~clock_mhz ~fabric_of ~cache_cfg ~bus_profile ~faults ~crash
            transition, so the fast path is exactly the guard's no-op
            branch. *)
         let rights = (Option.get inst.Shm_proto.access_rights) ~node in
-        let shift = inst.Shm_proto.page_shift in
+        let shift = page_shift in
         let read addr =
           if Bytes.unsafe_get rights (addr lsr shift) = '\000' then
             inst.Shm_proto.read_guard f ~node addr;

@@ -1,11 +1,9 @@
 module Engine = Shm_sim.Engine
-module Mailbox = Shm_sim.Mailbox
-module Waitq = Shm_sim.Waitq
-module Fabric = Shm_net.Fabric
-module Reliable = Shm_net.Reliable
 module Msg = Shm_net.Msg
 module Memory = Shm_memsys.Memory
+module Hw_sync = Shm_memsys.Hw_sync
 module Counters = Shm_stats.Counters
+module K = Shm_proto.Node_kit
 
 (* Tardis (Yu & Devadas, arXiv 1501.04504) over a page DSM: coherence by
    logical timestamps instead of invalidation.
@@ -51,23 +49,6 @@ type pending_txn = {
   have_wts : int;
 }
 
-exception
-  Proto_error of {
-    page : int;
-    requester : int;
-    manager : int;
-    state : string;
-  }
-
-let () =
-  Printexc.register_printer (function
-    | Proto_error { page; requester; manager; state } ->
-        Some
-          (Printf.sprintf
-             "Tardis.Proto_error: page %d, requester %d, manager %d: %s" page
-             requester manager state)
-    | _ -> None)
-
 (* Manager-side record for a page it is home for. *)
 type mpage = {
   mutable owner : int option;
@@ -89,7 +70,7 @@ type node = {
   mem : Memory.t;
   access : page_access array;
   rights : Bytes.t;
-      (** software TLB: ['\002'] for Exclusive (guards skippable),
+      (** the kit's software TLB: ['\002'] for Exclusive (guards skippable),
           ['\000'] otherwise — a Shared copy's readability depends on
           [pts <= lease], which changes at synchronization, so Shared
           reads must always reach the guard (a hit is free there). *)
@@ -98,10 +79,6 @@ type node = {
   mutable pts : int;  (** the node's program timestamp *)
   mpages : (int, mpage) Hashtbl.t;  (** pages this node is home for *)
   mlocks : (int, mlock) Hashtbl.t;  (** locks this node manages *)
-  pending_reqs : (int, Proto.t Mailbox.t) Hashtbl.t;
-  mutable next_req : int;
-  inflight : (int, Waitq.t) Hashtbl.t;
-  steal : int ref;
 }
 
 type barrier_state = {
@@ -110,24 +87,16 @@ type barrier_state = {
 }
 
 type t = {
-  eng : Engine.t;
+  k : Proto.t K.t;
   counters : Counters.t;
-  net : Proto.t Reliable.t;
   page_words : int;
   n_pages : int;
   n_nodes : int;
   nodes : node array;
   barriers : barrier_state array;
-  page_shift : int;  (** log2 page_words, or -1 if not a power of two *)
-  mutable page_hook : node:int -> page:int -> unit;
 }
 
-let page_of t addr =
-  if t.page_shift >= 0 then addr lsr t.page_shift else addr / t.page_words
-
-let page_shift t = t.page_shift
-
-let access_rights t ~node = t.nodes.(node).rights
+let kit t = t.k
 
 (* Every [access] transition goes through here so the TLB mirror never
    drifts. *)
@@ -138,17 +107,19 @@ let set_access nd page (a : page_access) =
 
 let memory t ~node = t.nodes.(node).mem
 
-let set_page_hook t f = t.page_hook <- f
-
 let manager_of t page = page mod t.n_nodes
 
 let lock_manager_of t lock = lock mod t.n_nodes
 
-let overhead t = (Fabric.config (Reliable.fabric t.net)).Fabric.overhead
+let overhead t = K.overhead t.k
 
 let create eng counters fabric ~page_words ~shared_words ~memories =
   let n_nodes = Array.length memories in
   let n_pages = (shared_words + page_words - 1) / page_words in
+  let k =
+    K.create eng counters fabric ~class_of:Proto.class_ ~size_of:Proto.sizes
+      ~nodes:n_nodes ~page_words ~shared_words ~rights:'\000'
+  in
   let mk_node id =
     let mpages = Hashtbl.create 64 in
     for p = 0 to n_pages - 1 do
@@ -170,53 +141,24 @@ let create eng counters fabric ~page_words ~shared_words ~memories =
       (* pts starts at 0 and every initial copy is version 0 with a
          lease of 0, so the warm start costs nothing: first reads hit,
          the first write of a page mints version >= 1. *)
-      rights = Bytes.make n_pages (if n_nodes = 1 then '\002' else '\000');
+      rights = K.rights k ~node:id;
       wts = Array.make n_pages 0;
       lease = Array.make n_pages 0;
       pts = 0;
       mpages;
       mlocks = Hashtbl.create 16;
-      pending_reqs = Hashtbl.create 16;
-      next_req = 0;
-      inflight = Hashtbl.create 8;
-      steal = ref 0;
     }
   in
   {
-    eng;
+    k;
     counters;
-    net = Reliable.create eng counters fabric;
     page_words;
     n_pages;
     n_nodes;
     nodes = Array.init n_nodes mk_node;
-    barriers = Array.init 16 (fun _ -> { arrivals = []; high = 0 });
-    page_shift =
-      (if page_words > 0 && page_words land (page_words - 1) = 0 then
-         let rec go s n = if n = 1 then s else go (s + 1) (n lsr 1) in
-         go 0 page_words
-       else -1);
-    page_hook = (fun ~node:_ ~page:_ -> ());
+    barriers =
+      Array.init Hw_sync.max_barriers (fun _ -> { arrivals = []; high = 0 });
   }
-
-let fresh_req nd =
-  let r = nd.next_req in
-  nd.next_req <- r + 1;
-  r
-
-let register_req t nd req =
-  let mb = Mailbox.create t.eng in
-  Hashtbl.replace nd.pending_reqs req mb;
-  mb
-
-let drain_steal fiber nd =
-  let s = !(nd.steal) in
-  if s > 0 then begin
-    nd.steal := 0;
-    (* Handler CPU time charged to the application is protocol overhead. *)
-    Engine.with_category fiber Engine.Protocol (fun () ->
-        Engine.advance fiber s)
-  end
 
 let page_data t nd page =
   Array.init t.page_words (fun k ->
@@ -231,15 +173,13 @@ let install_page t fiber nd page ~wts data =
     data;
   nd.wts.(page) <- wts;
   Engine.advance fiber t.page_words;
-  t.page_hook ~node:nd.id ~page
+  K.page_changed t.k ~node:nd.id ~page
 
 (* Deliver [body] to [dst]: over the fabric, or by running the dispatch
    inline when [dst] is the local node (no message, no cost). *)
 let rec deliver t fiber ~src ~dst body =
   if src = dst then dispatch t fiber t.nodes.(dst) ~src body
-  else
-    Reliable.send t.net fiber ~src ~dst ~class_:(Proto.class_ body)
-      ~size:(Proto.sizes body) body
+  else K.send t.k fiber ~src ~dst body
 
 (* ---------------- manager-side page state machine ------------------ *)
 
@@ -256,14 +196,15 @@ and mgr_start_txn t fiber mgr page (txn : pending_txn) =
          page, so a transaction from the owner is a protocol bug (or a
          corrupted request under a chaos schedule): diagnosable error. *)
       raise
-        (Proto_error
+        (K.Proto_error
            {
              page;
              requester = txn.requester;
              manager = mgr.id;
              state =
                Printf.sprintf
-                 "%s transaction (req %d) from the exclusive owner; manager \
+                 "tardis: %s transaction (req %d) from the exclusive owner; \
+                  manager \
                   state: wts=%d rts=%d busy=%b queued=%d"
                  (if txn.write then "write" else "read")
                  txn.req mp.m_wts mp.m_rts mp.busy
@@ -368,11 +309,6 @@ and mgr_barrier_arrive t fiber mgr ~id ~node ~req ~pts =
 
 (* ---------------- message dispatch --------------------------------- *)
 
-and route_response nd ~req body ~at =
-  match Hashtbl.find_opt nd.pending_reqs req with
-  | Some mb -> Mailbox.post mb ~at body
-  | None -> failwith "tardis: response without pending request"
-
 and dispatch t fiber nd ~src body =
   ignore src;
   match body with
@@ -388,13 +324,13 @@ and dispatch t fiber nd ~src body =
          dropped) is the current version, already stamped [wts]. *)
       if nd.access.(page) <> Texclusive then
         raise
-          (Proto_error
+          (K.Proto_error
              {
                page;
                requester = nd.id;
                manager = manager_of t page;
                state =
-                 Printf.sprintf "flush of a %s copy (req %d)"
+                 Printf.sprintf "tardis: flush of a %s copy (req %d)"
                    (access_name nd.access.(page))
                    req;
              });
@@ -420,87 +356,44 @@ and dispatch t fiber nd ~src body =
       mgr_barrier_arrive t fiber nd ~id:barrier ~node ~req ~pts
   | Proto.Read_grant { req; _ } | Proto.Write_grant { req; _ }
   | Proto.Lock_grant { req; _ } | Proto.Barrier_depart { req; _ } ->
-      route_response nd ~req body ~at:(Engine.clock fiber)
-
-let handler_loop t nd fiber =
-  let ov = overhead t in
-  let rec loop () =
-    let env =
-      Engine.with_category fiber Engine.Net_wait (fun () ->
-          Reliable.recv t.net fiber ~node:nd.id)
-    in
-    Engine.with_category fiber Engine.Protocol (fun () ->
-        Engine.advance fiber ov.handler;
-        (* CPU time spent serving: charged back to the application unless
-           the message completes one of its own waits. *)
-        (match env.Msg.body with
-        | Proto.Read_grant _ | Proto.Write_grant _ | Proto.Lock_grant _
-        | Proto.Barrier_depart _ ->
-            ()
-        | _ -> nd.steal := !(nd.steal) + ov.handler + ov.fixed_recv);
-        dispatch t fiber nd ~src:env.Msg.src env.Msg.body);
-    loop ()
-  in
-  loop ()
+      K.post t.k ~node:nd.id ~req body ~at:(Engine.clock fiber)
 
 let start t =
-  Reliable.start t.net;
-  Array.iter
-    (fun nd ->
-      ignore
-        (Engine.spawn t.eng ~daemon:true
-           ~name:(Printf.sprintf "tardis-handler-%d" nd.id)
-           ~at:0
-           (fun fiber -> handler_loop t nd fiber)))
-    t.nodes
-
-let retx_note t = Reliable.pending_note t.net
+  let ov = overhead t in
+  K.start t.k ~name:"tardis" (fun fiber node env ->
+      Engine.advance fiber ov.handler;
+      (* CPU time spent serving: charged back to the application unless
+         the message completes one of its own waits. *)
+      (match env.Msg.body with
+      | Proto.Read_grant _ | Proto.Write_grant _ | Proto.Lock_grant _
+      | Proto.Barrier_depart _ ->
+          ()
+      | _ -> K.charge t.k node (ov.handler + ov.fixed_recv));
+      dispatch t fiber t.nodes.(node) ~src:env.Msg.src env.Msg.body)
 
 (* ---------------- application-facing operations -------------------- *)
 
 let fault t fiber nd page ~write =
-  Engine.sync fiber;
-  drain_steal fiber nd;
   let satisfied () =
     match nd.access.(page) with
     | Texclusive -> true
     | Tshared -> (not write) && nd.pts <= nd.lease.(page)
     | Tinvalid -> false
   in
-  let rec wait_turn () =
-    match Hashtbl.find_opt nd.inflight page with
-    | Some wq when not (satisfied ()) ->
-        (* Another co-located processor is fetching this page. *)
-        Engine.with_category fiber Engine.Net_wait (fun () ->
-            Waitq.wait fiber wq);
-        wait_turn ()
-    | Some _ | None -> ()
-  in
-  wait_turn ();
-  if not (satisfied ()) then
-  Engine.with_category fiber Engine.Protocol @@ fun () ->
-  begin
-    let wq = Waitq.create t.eng in
-    Hashtbl.replace nd.inflight page wq;
-    Counters.incr t.counters
-      (if write then "tardis.write_faults" else "tardis.read_faults");
-    Engine.instant fiber "tardis.fault";
-    Engine.advance fiber (overhead t).handler;
-    let req = fresh_req nd in
-    let mb = register_req t nd req in
-    let mgr = manager_of t page in
-    let have_wts = if nd.access.(page) = Tinvalid then -1 else nd.wts.(page) in
-    let body =
-      if write then
-        Proto.Write_req { page; requester = nd.id; req; pts = nd.pts; have_wts }
-      else
-        Proto.Read_req { page; requester = nd.id; req; pts = nd.pts; have_wts }
-    in
-    deliver t fiber ~src:nd.id ~dst:mgr body;
-    (match
-       Engine.with_category fiber Engine.Net_wait (fun () ->
-           Mailbox.recv fiber mb)
-     with
+  K.fetch t.k fiber ~node:nd.id page ~ready:satisfied @@ fun () ->
+  Counters.incr t.counters
+    (if write then "tardis.write_faults" else "tardis.read_faults");
+  Engine.instant fiber "tardis.fault";
+  Engine.advance fiber (overhead t).handler;
+  let mgr = manager_of t page in
+  let have_wts = if nd.access.(page) = Tinvalid then -1 else nd.wts.(page) in
+  K.call t.k fiber ~node:nd.id Engine.Net_wait
+    (fun req ->
+      let pts = nd.pts and requester = nd.id in
+      deliver t fiber ~src:nd.id ~dst:mgr
+        (if write then Proto.Write_req { page; requester; req; pts; have_wts }
+         else Proto.Read_req { page; requester; req; pts; have_wts }))
+    (function
     | Proto.Read_grant { wts; lease; data; _ } ->
         (match data with
         | Some d ->
@@ -525,12 +418,8 @@ let fault t fiber nd page ~write =
         nd.lease.(page) <- ts;
         if ts > nd.pts then nd.pts <- ts
     | _ -> failwith "tardis: unexpected fault response");
-    deliver t fiber ~src:nd.id ~dst:mgr
-      (Proto.Txn_done { page; requester = nd.id });
-    Hashtbl.remove nd.pending_reqs req;
-    Hashtbl.remove nd.inflight page;
-    ignore (Waitq.wake_all wq ~at:(Engine.clock fiber))
-  end
+  deliver t fiber ~src:nd.id ~dst:mgr
+    (Proto.Txn_done { page; requester = nd.id })
 
 (* A Shared hit still executes the load rule: the version's [wts] drags
    [pts] forward (a free register update — the guard was reached anyway
@@ -544,113 +433,68 @@ let readable nd page =
   | Tshared -> nd.pts <= nd.lease.(page)
   | Tinvalid -> false
 
+let read_page t fiber nd page =
+  while not (readable nd page) do
+    fault t fiber nd page ~write:false
+  done;
+  note_read nd page
+
+let write_page t fiber nd page =
+  while nd.access.(page) <> Texclusive do
+    fault t fiber nd page ~write:true
+  done
+
 let read_guard t fiber ~node addr =
-  if t.n_nodes > 1 then begin
-    let nd = t.nodes.(node) in
-    let page = page_of t addr in
-    while not (readable nd page) do
-      fault t fiber nd page ~write:false
-    done;
-    note_read nd page
-  end
+  if t.n_nodes > 1 then read_page t fiber t.nodes.(node) (K.page_of t.k addr)
 
 let write_guard t fiber ~node addr =
-  if t.n_nodes > 1 then begin
-    let nd = t.nodes.(node) in
-    let page = page_of t addr in
-    while nd.access.(page) <> Texclusive do
-      fault t fiber nd page ~write:true
-    done
-  end
-
-(* Range guards: one guard per overlapped page, in address order, handing
-   each in-page run to [f run_addr run_words] right after its guard —
-   observably identical to the per-word loop.  [f] must not yield. *)
+  if t.n_nodes > 1 then write_page t fiber t.nodes.(node) (K.page_of t.k addr)
 
 let read_range_guard t fiber ~node addr words ~f =
   if t.n_nodes = 1 then f addr words
-  else begin
-    let nd = t.nodes.(node) in
-    let pw = t.page_words in
-    let stop = addr + words in
-    let a = ref addr in
-    while !a < stop do
-      let page = page_of t !a in
-      let run = min ((page + 1) * pw) stop - !a in
-      while not (readable nd page) do
-        fault t fiber nd page ~write:false
-      done;
-      note_read nd page;
-      f !a run;
-      a := !a + run
-    done
-  end
+  else K.walk t.k addr words ~f ~guard:(read_page t fiber t.nodes.(node))
 
 let write_range_guard t fiber ~node addr words ~f =
   if t.n_nodes = 1 then f addr words
-  else begin
-    let nd = t.nodes.(node) in
-    let pw = t.page_words in
-    let stop = addr + words in
-    let a = ref addr in
-    while !a < stop do
-      let page = page_of t !a in
-      let run = min ((page + 1) * pw) stop - !a in
-      while nd.access.(page) <> Texclusive do
-        fault t fiber nd page ~write:true
-      done;
-      f !a run;
-      a := !a + run
-    done
-  end
+  else K.walk t.k addr words ~f ~guard:(write_page t fiber t.nodes.(node))
 
 let acquire t fiber ~node ~lock =
+  K.check_lock lock;
   let nd = t.nodes.(node) in
-  Engine.sync fiber;
-  drain_steal fiber nd;
+  K.enter t.k fiber node;
   Engine.with_category fiber Engine.Protocol @@ fun () ->
-  let req = fresh_req nd in
-  let mb = register_req t nd req in
-  deliver t fiber ~src:nd.id
-    ~dst:(lock_manager_of t lock)
-    (Proto.Lock_req { lock; requester = nd.id; req });
-  (match
-     Engine.with_category fiber Engine.Lock_wait (fun () ->
-         Mailbox.recv fiber mb)
-   with
-  | Proto.Lock_grant { ts; _ } ->
-      (* Synchronize logical time with the previous holder, so leases on
-         everything it wrote are expired from here on. *)
-      if ts > nd.pts then nd.pts <- ts
-  | _ -> failwith "tardis: unexpected lock response");
-  Hashtbl.remove nd.pending_reqs req;
+  K.call t.k fiber ~node Engine.Lock_wait
+    (fun req ->
+      deliver t fiber ~src:node ~dst:(lock_manager_of t lock)
+        (Proto.Lock_req { lock; requester = node; req }))
+    (function
+    | Proto.Lock_grant { ts; _ } ->
+        (* Synchronize logical time with the previous holder, so leases on
+           everything it wrote are expired from here on. *)
+        if ts > nd.pts then nd.pts <- ts
+    | _ -> failwith "tardis: unexpected lock response");
   Counters.incr t.counters "tardis.lock_acquires"
 
 let release t fiber ~node ~lock =
+  K.check_lock lock;
   let nd = t.nodes.(node) in
-  Engine.sync fiber;
-  drain_steal fiber nd;
+  K.enter t.k fiber node;
   Engine.with_category fiber Engine.Protocol (fun () ->
-      deliver t fiber ~src:nd.id
-        ~dst:(lock_manager_of t lock)
-        (Proto.Unlock { lock; requester = nd.id; pts = nd.pts }))
+      deliver t fiber ~src:node ~dst:(lock_manager_of t lock)
+        (Proto.Unlock { lock; requester = node; pts = nd.pts }))
 
 let barrier_arrive t fiber ~node ~id =
+  K.check_barrier id;
   let nd = t.nodes.(node) in
-  Engine.sync fiber;
-  drain_steal fiber nd;
+  K.enter t.k fiber node;
   Engine.with_category fiber Engine.Protocol @@ fun () ->
-  let req = fresh_req nd in
-  let mb = register_req t nd req in
-  deliver t fiber ~src:nd.id ~dst:0
-    (Proto.Barrier_arrive { barrier = id; node = nd.id; req; pts = nd.pts });
-  (match
-     Engine.with_category fiber Engine.Barrier_wait (fun () ->
-         Mailbox.recv fiber mb)
-   with
-  | Proto.Barrier_depart { ts; _ } -> if ts > nd.pts then nd.pts <- ts
-  | _ -> failwith "tardis: unexpected barrier response");
-  Hashtbl.remove nd.pending_reqs req
+  K.call t.k fiber ~node Engine.Barrier_wait
+    (fun req ->
+      deliver t fiber ~src:node ~dst:0
+        (Proto.Barrier_arrive { barrier = id; node; req; pts = nd.pts }))
+    (function
+    | Proto.Barrier_depart { ts; _ } -> if ts > nd.pts then nd.pts <- ts
+    | _ -> failwith "tardis: unexpected barrier response")
 
 let check_invariants t =
   for page = 0 to t.n_pages - 1 do

@@ -16,12 +16,7 @@ type t = {
   n_nodes : int;
   page_words : int;  (** 512 words = 4 KB Ultrix pages *)
   shared_words : int;  (** size of the shared address space *)
-  n_locks : int;
-  n_barriers : int;
   barrier_manager : int;  (** node hosting the barrier manager *)
-  twin_copy_per_word : int;  (** memcpy cost of twin creation *)
-  apply_per_word : int;  (** memcpy cost of applying a fetched diff *)
-  local_lock_cycles : int;  (** token already on-node: library-only cost *)
   notice_policy : notice_policy;
   eager_locks : int list;
       (** locks using eager release: their releases push the closing
@@ -29,7 +24,9 @@ type t = {
           sound for single-writer-at-a-time data, e.g. the TSP bound. *)
 }
 
-(** [default ~n_nodes ~shared_words] fills in paper-derived constants. *)
+(** [default ~n_nodes ~shared_words]: 512-word pages, lazy notices, no
+    eager locks, barrier manager on node 0.  Lock and barrier ids are
+    bounded by {!Shm_memsys.Hw_sync.max_locks} and [max_barriers]. *)
 val default : n_nodes:int -> shared_words:int -> t
 
 (** [manager_of t lock] is the lock's statically-assigned manager node. *)

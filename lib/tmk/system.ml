@@ -1,13 +1,16 @@
 module Engine = Shm_sim.Engine
-module Mailbox = Shm_sim.Mailbox
 module Waitq = Shm_sim.Waitq
-module Fabric = Shm_net.Fabric
-module Reliable = Shm_net.Reliable
 module Msg = Shm_net.Msg
-module Overhead = Shm_net.Overhead
 module Memory = Shm_memsys.Memory
+module Hw_sync = Shm_memsys.Hw_sync
 module Counters = Shm_stats.Counters
-module Lifecycle = Shm_sim.Lifecycle
+module K = Shm_proto.Node_kit
+
+(* Library costs: twin copies and diff applications are memcpys at one
+   cycle per word; a lock whose token is already on-node costs only the
+   library's bookkeeping. *)
+let copy_per_word = 1
+let local_lock_cycles = 50
 
 type page_state = {
   mutable valid : bool;
@@ -42,20 +45,13 @@ type node = {
   store : Record.Store.t;
   pages : page_state array;
   rights : Bytes.t;
-      (** software TLB: one byte per page, ['\000'] = guard must fault,
-          ['\001'] = readable, ['\002'] = readable and writable (twin in
-          place, or single node).  Derived from [pages]; consulted by the
-          platforms' fast paths to skip the guard call entirely. *)
+      (** the kit's software TLB for this node, derived from [pages] *)
   mutable dirty : int list;  (** pages dirtied in the open interval *)
   own_diffs : (int * int, Diff.t) Hashtbl.t;  (** (page, seqno) -> diff *)
   eager_diffs : (int * int * int, Diff.t) Hashtbl.t;
       (** (page, creator, seqno) -> eagerly shipped diff, not yet applied *)
   locks : lock_state array;
-  pending_reqs : (int, Proto.t Mailbox.t) Hashtbl.t;
-  mutable next_req : int;
   mutable sent_to_manager : int;  (** own seq already pushed to barrier mgr *)
-  inflight : (int, Waitq.t) Hashtbl.t;  (** page -> fibers awaiting its fetch *)
-  steal : int ref;  (** handler CPU cycles to charge the application *)
   mutable recov : recov option;  (** checkpoint state; [None] = crash-free *)
 }
 
@@ -67,34 +63,22 @@ type barrier_state = {
 }
 
 type t = {
-  eng : Engine.t;
+  k : Proto.t K.t;
   counters : Counters.t;
-  net : Proto.t Reliable.t;
   cfg : Config.t;
   nodes : node array;
   barriers : barrier_state array;
-  page_shift : int;  (** log2 page_words, or -1 if not a power of two *)
-  mutable page_hook : node:int -> page:int -> unit;
   lock_home : int array;
       (** current manager of each lock; starts at [Config.manager_of] and
           moves to a surviving node when the manager crashes *)
   mutable barrier_home : int;  (** current barrier manager, likewise *)
-  lifecycle : Lifecycle.t option;
 }
 
 let config t = t.cfg
 
+let kit t = t.k
+
 let memory t ~node = t.nodes.(node).mem
-
-let set_page_hook t f = t.page_hook <- f
-
-let page_of t addr =
-  if t.page_shift >= 0 then addr lsr t.page_shift
-  else addr / t.cfg.page_words
-
-let page_shift t = t.page_shift
-
-let access_rights t ~node = t.nodes.(node).rights
 
 (* Recompute the TLB byte for one page from its protocol state.  Must be
    called after every transition of [valid] or [twin]. *)
@@ -105,7 +89,7 @@ let update_rights t nd page =
      else if st.twin <> None || t.cfg.n_nodes = 1 then '\002'
      else '\001')
 
-let overhead t = (Fabric.config (Reliable.fabric t.net)).Fabric.overhead
+let overhead t = K.overhead t.k
 
 (* Record that a page's contents diverged from the checkpoint image.
    Free when checkpointing is off ([recov = None], the crash-free case). *)
@@ -119,6 +103,11 @@ let create ?lifecycle eng counters fabric cfg ~memories =
   if Array.length memories <> cfg.n_nodes then
     invalid_arg "Tmk.System.create: one memory per node required";
   let n = cfg.n_nodes in
+  let k =
+    K.create ?lifecycle eng counters fabric ~class_of:Proto.class_
+      ~size_of:Proto.sizes ~nodes:n ~page_words:cfg.page_words
+      ~shared_words:cfg.shared_words ~rights:'\001'
+  in
   let mk_lock lock node_id =
     let manager = Config.manager_of cfg lock in
     {
@@ -140,106 +129,54 @@ let create ?lifecycle eng counters fabric cfg ~memories =
         Array.init (Config.n_pages cfg) (fun _ ->
             { valid = true; twin = None; applied = Vc.create ~nodes:n;
               pending = [] });
-      rights =
-        (* Pages start valid everywhere; a single node never twins. *)
-        Bytes.make (Config.n_pages cfg) (if n = 1 then '\002' else '\001');
+      rights = K.rights k ~node:id;
       dirty = [];
       own_diffs = Hashtbl.create 256;
       eager_diffs = Hashtbl.create 64;
-      locks = Array.init cfg.n_locks (fun l -> mk_lock l id);
-      pending_reqs = Hashtbl.create 16;
-      next_req = 0;
+      locks = Array.init Hw_sync.max_locks (fun l -> mk_lock l id);
       sent_to_manager = 0;
-      inflight = Hashtbl.create 8;
-      steal = ref 0;
       recov = None;
     }
   in
-  let pw = cfg.page_words in
-  let page_shift =
-    if pw > 0 && pw land (pw - 1) = 0 then
-      let rec go s n = if n = 1 then s else go (s + 1) (n lsr 1) in
-      go 0 pw
-    else -1
-  in
   let t =
     {
-      eng;
+      k;
       counters;
-      net = Reliable.create eng counters fabric;
       cfg;
       nodes = Array.init n mk_node;
       barriers =
-        Array.init cfg.n_barriers (fun _ -> { arrivals = []; stash = [] });
-      page_shift;
-      page_hook = (fun ~node:_ ~page:_ -> ());
-      lock_home = Array.init cfg.n_locks (Config.manager_of cfg);
+        Array.init Hw_sync.max_barriers (fun _ ->
+            { arrivals = []; stash = [] });
+      lock_home = Array.init Hw_sync.max_locks (Config.manager_of cfg);
       barrier_home = cfg.barrier_manager;
-      lifecycle;
     }
   in
-  (match lifecycle with
-  | None -> ()
-  | Some _ ->
-      (* Crash detection and transient loss share the reliable channel:
-         a packet to a down peer reports the suspected death once
-         ([net.reliable.peer_down]) and then parks its timer at the
-         peer's restart instead of aborting, with the backoff exponent
-         capped so delivery resumes promptly. *)
-      Reliable.set_policy t.net
-        {
-          Reliable.default_policy with
-          Reliable.backoff_cap = 6;
-          on_peer_down = Some (fun ~src:_ ~dst:_ ~attempts:_ -> ());
-        };
-      (* Arm failure-atomic checkpointing: one image per node, seeded
-         from the initial memory, plus per-page applied-vector snapshots
-         so a rejoin knows which foreign intervals to distrust. *)
-      let words = Config.n_pages cfg * cfg.page_words in
-      Array.iter
-        (fun nd ->
-          let image = Memory.create ~words in
-          Memory.blit ~src:nd.mem ~src_pos:0 ~dst:image ~dst_pos:0 ~len:words;
-          nd.recov <-
-            Some
-              {
-                image;
-                snap =
-                  Array.init (Config.n_pages cfg) (fun _ ->
-                      Vc.create ~nodes:n);
-                ckpt_seq = 0;
-                ckpt_dirty = Bytes.make (Config.n_pages cfg) '\000';
-              })
-        t.nodes);
+  if lifecycle <> None then begin
+    (* Arm failure-atomic checkpointing: one image per node, seeded
+       from the initial memory, plus per-page applied-vector snapshots
+       so a rejoin knows which foreign intervals to distrust. *)
+    let words = Config.n_pages cfg * cfg.page_words in
+    Array.iter
+      (fun nd ->
+        let image = Memory.create ~words in
+        Memory.blit ~src:nd.mem ~src_pos:0 ~dst:image ~dst_pos:0 ~len:words;
+        nd.recov <-
+          Some
+            {
+              image;
+              snap =
+                Array.init (Config.n_pages cfg) (fun _ -> Vc.create ~nodes:n);
+              ckpt_seq = 0;
+              ckpt_dirty = Bytes.make (Config.n_pages cfg) '\000';
+            })
+      t.nodes
+  end;
   t
 
 (* ------------------------------------------------------------------ *)
 (* Small helpers                                                       *)
 
-let fresh_req nd =
-  let r = nd.next_req in
-  nd.next_req <- r + 1;
-  r
-
-let register_req t nd req =
-  let mb = Mailbox.create t.eng in
-  Hashtbl.replace nd.pending_reqs req mb;
-  mb
-
-let finish_req nd req = Hashtbl.remove nd.pending_reqs req
-
-let drain_steal fiber nd =
-  let s = !(nd.steal) in
-  if s > 0 then begin
-    nd.steal := 0;
-    (* Handler CPU time charged to the application is protocol overhead. *)
-    Engine.with_category fiber Engine.Protocol (fun () ->
-        Engine.advance fiber s)
-  end
-
-let send t fiber ~src ~dst body =
-  Reliable.send t.net fiber ~src ~dst ~class_:(Proto.class_ body)
-    ~size:(Proto.sizes body) body
+let send t = K.send t.k
 
 (* CPU cycles a node spends serving a request, charged to its application
    fiber via [steal] (on a uniprocessor node the handler and the
@@ -429,7 +366,7 @@ let apply_diffs t fiber nd ~page items =
       Diff.apply d nd.mem ~base;
       Option.iter (Diff.apply_to_twin d) st.twin;
       Engine.with_category fiber Engine.Diff (fun () ->
-          Engine.advance fiber (t.cfg.apply_per_word * Diff.words d));
+          Engine.advance fiber (copy_per_word * Diff.words d));
       Engine.instant fiber "tmk.diff-apply";
       if r.seqno > st.applied.(r.creator) then
         st.applied.(r.creator) <- r.seqno;
@@ -438,138 +375,114 @@ let apply_diffs t fiber nd ~page items =
   if items <> [] then mark_ckpt_dirty nd page
 
 let fault t fiber nd page =
-  Engine.sync fiber;
-  drain_steal fiber nd;
   let st = nd.pages.(page) in
-  let rec wait_if_inflight () =
-    match Hashtbl.find_opt nd.inflight page with
-    | Some wq when not st.valid ->
-        (* Another co-located processor is fetching this page. *)
-        Engine.with_category fiber Engine.Net_wait (fun () ->
-            Waitq.wait fiber wq);
-        wait_if_inflight ()
-    | Some _ | None -> ()
+  K.fetch t.k fiber ~node:nd.id page ~ready:(fun () -> st.valid) @@ fun () ->
+  Counters.incr t.counters "tmk.faults";
+  Engine.instant fiber "tmk.fault";
+  Engine.advance fiber (overhead t).handler;
+  (* Needed notices, grouped by creator. *)
+  let needed =
+    List.filter (fun (c, s) -> s > st.applied.(c)) st.pending
   in
-  wait_if_inflight ();
-  if not st.valid then
-  Engine.with_category fiber Engine.Protocol @@ fun () ->
-  begin
-    let wq = Waitq.create t.eng in
-    Hashtbl.replace nd.inflight page wq;
-    Counters.incr t.counters "tmk.faults";
-    Engine.instant fiber "tmk.fault";
-    Engine.advance fiber (overhead t).handler;
-    (* Needed notices, grouped by creator. *)
-    let needed =
-      List.filter (fun (c, s) -> s > st.applied.(c)) st.pending
-    in
-    let seqs_by_creator = Hashtbl.create 4 in
-    List.iter
-      (fun (c, s) ->
-        let l =
-          Option.value ~default:[] (Hashtbl.find_opt seqs_by_creator c)
-        in
-        Hashtbl.replace seqs_by_creator c (s :: l))
-      needed;
-    (* Intervals whose diffs were eagerly shipped are served from the
-       local stash.  A creator goes remote only if any of its needed
-       intervals is missing there — the range request then covers all of
-       them, so stashed and fetched diffs never double-apply. *)
-    let stashed_items = ref [] in
-    let by_creator = Hashtbl.create 4 in
-    Hashtbl.iter
-      (fun c seqs ->
-        let stashed =
-          List.filter_map
-            (fun s ->
-              match
-                ( Hashtbl.find_opt nd.eager_diffs (page, c, s),
-                  Record.Store.find nd.store ~creator:c ~seqno:s )
-              with
-              | Some d, Some r -> Some (r, d)
-              | _ -> None)
-            seqs
-        in
-        if List.length stashed = List.length seqs then begin
-          stashed_items := stashed @ !stashed_items;
-          Counters.add t.counters "tmk.eager_applies" (List.length stashed)
-        end
-        else Hashtbl.replace by_creator c (List.fold_left max 0 seqs))
-      seqs_by_creator;
-    let req = fresh_req nd in
-    let mb = register_req t nd req in
-    let expected = Hashtbl.length by_creator in
-    Hashtbl.iter
-      (fun creator hi ->
-        send t fiber ~src:nd.id ~dst:creator
-          (Proto.Diff_req
-             { page; requester = nd.id; req; lo = st.applied.(creator); hi }))
-      by_creator;
-    let items = ref !stashed_items in
-    for _ = 1 to expected do
-      match
-        Engine.with_category fiber Engine.Net_wait (fun () ->
-            Mailbox.recv fiber mb)
-      with
-      | Proto.Diff_resp { page = p; creator; diffs; _ } ->
-          assert (p = page);
-          List.iter
-            (fun (seqno, diff) ->
-              match Record.Store.find nd.store ~creator ~seqno with
-              | Some record -> items := (record, diff) :: !items
-              | None ->
-                  let pend =
-                    String.concat ";"
-                      (List.map
-                         (fun (c, s) -> Printf.sprintf "(%d,%d)" c s)
-                         st.pending)
-                  in
-                  let reqs =
-                    Hashtbl.fold
-                      (fun c hi acc ->
-                        Printf.sprintf "%d:(%d,%d] %s" c st.applied.(c) hi acc)
-                      by_creator ""
-                  in
-                  failwith
-                    (Printf.sprintf
-                       "fault: node %d page %d: diff (creator %d, seq %d) \
-                        unknown; vc=%s applied=%s contiguous=%d pending=%s \
-                        reqs=%s"
-                       nd.id page creator seqno
-                       (Format.asprintf "%a" Vc.pp nd.vc)
-                       (Format.asprintf "%a" Vc.pp st.applied)
-                       (Record.Store.contiguous nd.store ~creator)
-                       pend reqs))
-            diffs
-      | _ -> failwith "fault: unexpected response"
-    done;
-    apply_diffs t fiber nd ~page !items;
-    List.iter (fun (c, s) -> Hashtbl.remove nd.eager_diffs (page, c, s)) needed;
-    (* Notices may have arrived while we were fetching; if any remain
-       unapplied the page must stay invalid and fault again. *)
-    st.pending <- List.filter (fun (c, s) -> s > st.applied.(c)) st.pending;
-    if st.pending = [] then begin
-      st.valid <- true;
-      (* Contents are final, then the TLB byte, then the hook: a hook that
-         rebuilds derived state (platform caches) must observe both. *)
-      update_rights t nd page;
-      t.page_hook ~node:nd.id ~page
-    end;
-    Hashtbl.remove nd.inflight page;
-    finish_req nd req;
-    ignore (Waitq.wake_all wq ~at:(Engine.clock fiber))
+  let seqs_by_creator = Hashtbl.create 4 in
+  List.iter
+    (fun (c, s) ->
+      let l =
+        Option.value ~default:[] (Hashtbl.find_opt seqs_by_creator c)
+      in
+      Hashtbl.replace seqs_by_creator c (s :: l))
+    needed;
+  (* Intervals whose diffs were eagerly shipped are served from the
+     local stash.  A creator goes remote only if any of its needed
+     intervals is missing there — the range request then covers all of
+     them, so stashed and fetched diffs never double-apply. *)
+  let stashed_items = ref [] in
+  let by_creator = Hashtbl.create 4 in
+  Hashtbl.iter
+    (fun c seqs ->
+      let stashed =
+        List.filter_map
+          (fun s ->
+            match
+              ( Hashtbl.find_opt nd.eager_diffs (page, c, s),
+                Record.Store.find nd.store ~creator:c ~seqno:s )
+            with
+            | Some d, Some r -> Some (r, d)
+            | _ -> None)
+          seqs
+      in
+      if List.length stashed = List.length seqs then begin
+        stashed_items := stashed @ !stashed_items;
+        Counters.add t.counters "tmk.eager_applies" (List.length stashed)
+      end
+      else Hashtbl.replace by_creator c (List.fold_left max 0 seqs))
+    seqs_by_creator;
+  let items = ref !stashed_items in
+  K.call t.k fiber ~node:nd.id ~replies:(Hashtbl.length by_creator)
+    Engine.Net_wait
+    (fun req ->
+      Hashtbl.iter
+        (fun creator hi ->
+          send t fiber ~src:nd.id ~dst:creator
+            (Proto.Diff_req
+               { page; requester = nd.id; req; lo = st.applied.(creator); hi }))
+        by_creator)
+    (function
+    | Proto.Diff_resp { page = p; creator; diffs; _ } ->
+        assert (p = page);
+        List.iter
+          (fun (seqno, diff) ->
+            match Record.Store.find nd.store ~creator ~seqno with
+            | Some record -> items := (record, diff) :: !items
+            | None ->
+                let pend =
+                  String.concat ";"
+                    (List.map
+                       (fun (c, s) -> Printf.sprintf "(%d,%d)" c s)
+                       st.pending)
+                in
+                let reqs =
+                  Hashtbl.fold
+                    (fun c hi acc ->
+                      Printf.sprintf "%d:(%d,%d] %s" c st.applied.(c) hi acc)
+                    by_creator ""
+                in
+                failwith
+                  (Printf.sprintf
+                     "fault: node %d page %d: diff (creator %d, seq %d) \
+                      unknown; vc=%s applied=%s contiguous=%d pending=%s \
+                      reqs=%s"
+                     nd.id page creator seqno
+                     (Format.asprintf "%a" Vc.pp nd.vc)
+                     (Format.asprintf "%a" Vc.pp st.applied)
+                     (Record.Store.contiguous nd.store ~creator)
+                     pend reqs))
+          diffs
+    | _ -> failwith "fault: unexpected response");
+  apply_diffs t fiber nd ~page !items;
+  List.iter (fun (c, s) -> Hashtbl.remove nd.eager_diffs (page, c, s)) needed;
+  (* Notices may have arrived while we were fetching; if any remain
+     unapplied the page must stay invalid and fault again. *)
+  st.pending <- List.filter (fun (c, s) -> s > st.applied.(c)) st.pending;
+  if st.pending = [] then begin
+    st.valid <- true;
+    (* Contents are final, then the TLB byte, then the hook: a hook that
+       rebuilds derived state (platform caches) must observe both. *)
+    update_rights t nd page;
+    K.page_changed t.k ~node:nd.id ~page
   end
 
 (* ------------------------------------------------------------------ *)
 (* Access guards                                                       *)
 
-let read_guard t fiber ~node addr =
-  let nd = t.nodes.(node) in
-  let page = page_of t addr in
+let read_page t fiber nd page =
   let st = nd.pages.(page) in
   while not st.valid do
     fault t fiber nd page
   done
+
+let read_guard t fiber ~node addr =
+  read_page t fiber t.nodes.(node) (K.page_of t.k addr)
 
 let ensure_twin t fiber nd page (st : page_state) =
   match st.twin with
@@ -589,8 +502,7 @@ let ensure_twin t fiber nd page (st : page_state) =
           ~len:t.cfg.page_words;
         Engine.with_category fiber Engine.Twin (fun () ->
             Engine.advance fiber
-              ((overhead t).handler
-              + (t.cfg.twin_copy_per_word * t.cfg.page_words)));
+              ((overhead t).handler + (copy_per_word * t.cfg.page_words)));
         st.twin <- Some twin;
         update_rights t nd page;
         nd.dirty <- page :: nd.dirty;
@@ -598,58 +510,18 @@ let ensure_twin t fiber nd page (st : page_state) =
         Counters.incr t.counters "tmk.twins"
       end
 
-let write_guard t fiber ~node addr =
-  let nd = t.nodes.(node) in
-  let page = page_of t addr in
-  let st = nd.pages.(page) in
-  while not st.valid do
-    fault t fiber nd page
-  done;
-  ensure_twin t fiber nd page st
+let write_page t fiber nd page =
+  read_page t fiber nd page;
+  ensure_twin t fiber nd page nd.pages.(page)
 
-(* Range guards: guard each page overlapping [addr, addr+words) exactly
-   once, in address order, handing each in-page run to [f run_addr
-   run_words] as soon as that page's guard completes.  Interleaving data
-   movement page by page (rather than guarding the whole range up front)
-   is what makes the range observably identical to the per-word loop: a
-   fault's yield can let the handler rewrite {e later} pages (eager
-   updates), and those must be re-examined when reached, exactly as the
-   per-word sequence would.  Within one page run neither the guard's
-   valid-check nor [f] may yield, so no transition can interpose — the
-   same argument that makes the per-word guard/access pair atomic. *)
+let write_guard t fiber ~node addr =
+  write_page t fiber t.nodes.(node) (K.page_of t.k addr)
 
 let read_range_guard t fiber ~node addr words ~f =
-  let nd = t.nodes.(node) in
-  let pw = t.cfg.page_words in
-  let stop = addr + words in
-  let a = ref addr in
-  while !a < stop do
-    let page = page_of t !a in
-    let run = min ((page + 1) * pw) stop - !a in
-    let st = nd.pages.(page) in
-    while not st.valid do
-      fault t fiber nd page
-    done;
-    f !a run;
-    a := !a + run
-  done
+  K.walk t.k addr words ~f ~guard:(read_page t fiber t.nodes.(node))
 
 let write_range_guard t fiber ~node addr words ~f =
-  let nd = t.nodes.(node) in
-  let pw = t.cfg.page_words in
-  let stop = addr + words in
-  let a = ref addr in
-  while !a < stop do
-    let page = page_of t !a in
-    let run = min ((page + 1) * pw) stop - !a in
-    let st = nd.pages.(page) in
-    while not st.valid do
-      fault t fiber nd page
-    done;
-    ensure_twin t fiber nd page st;
-    f !a run;
-    a := !a + run
-  done
+  K.walk t.k addr words ~f ~guard:(write_page t fiber t.nodes.(node))
 
 (* ------------------------------------------------------------------ *)
 (* Locks                                                               *)
@@ -664,10 +536,8 @@ let send_grant t fiber nd ~lock ~requester ~req ~req_vc =
     (* Reserve the lock for the local requester now, so no other
        co-located processor can slip in before it wakes. *)
     nd.locks.(lock).in_use <- true;
-    let body = Proto.Lock_grant { lock; req; vc = Vc.copy nd.vc; records = [] } in
-    match Hashtbl.find_opt nd.pending_reqs req with
-    | Some mb -> Mailbox.post mb ~at:(Engine.clock fiber) body
-    | None -> failwith "send_grant: local requester vanished"
+    K.post t.k ~node:nd.id ~req ~at:(Engine.clock fiber)
+      (Proto.Lock_grant { lock; req; vc = Vc.copy nd.vc; records = [] })
   end
   else begin
     let records = records_between nd ~vc_dst:req_vc in
@@ -697,9 +567,9 @@ let handle_lock_req t fiber nd ~lock ~requester ~req ~req_vc =
       (Proto.Lock_forward { lock; requester; req; vc = req_vc })
 
 let acquire t fiber ~node ~lock =
+  K.check_lock lock;
   let nd = t.nodes.(node) in
-  Engine.sync fiber;
-  drain_steal fiber nd;
+  K.enter t.k fiber node;
   let ls = nd.locks.(lock) in
   while ls.in_use do
     Engine.with_category fiber Engine.Lock_wait (fun () ->
@@ -709,38 +579,33 @@ let acquire t fiber ~node ~lock =
     (* Token already on-node: no messages (paper Section 3.1). *)
     ls.in_use <- true;
     Engine.with_category fiber Engine.Protocol (fun () ->
-        Engine.advance fiber t.cfg.local_lock_cycles);
+        Engine.advance fiber local_lock_cycles);
     Counters.incr t.counters "tmk.lock_local"
   end
   else
     Engine.with_category fiber Engine.Protocol @@ fun () ->
     begin
-    let req = fresh_req nd in
-    let mb = register_req t nd req in
-    let vc = Vc.copy nd.vc in
-    let manager = t.lock_home.(lock) in
-    let body = Proto.Lock_req { lock; requester = nd.id; req; vc } in
-    if manager = nd.id then
-      (* Even a local request goes through the handler fiber: the manager's
-         tail pointer and the forwards it emits must mutate in one logical
-         order, and the handler (whose clock tracks its queue) is that
-         order.  A direct call here could run with a lagging application
-         clock and launch a forward that overtakes an earlier one on the
-         wire, breaking the token chain. *)
-      Reliable.loopback t.net fiber ~node:nd.id ~class_:(Proto.class_ body)
-        ~size:(Proto.sizes body) body
-    else send t fiber ~src:nd.id ~dst:manager body;
-    (match
-       Engine.with_category fiber Engine.Lock_wait (fun () ->
-           Mailbox.recv fiber mb)
-     with
-    | Proto.Lock_grant { vc = granter_vc; records; _ } ->
-        register_records t fiber nd records;
-        Vc.max_into ~into:nd.vc granter_vc;
-        ls.has_token <- true;
-        ls.in_use <- true
-    | _ -> failwith "acquire: unexpected response");
-    finish_req nd req;
+    K.call t.k fiber ~node Engine.Lock_wait
+      (fun req ->
+        let vc = Vc.copy nd.vc in
+        let manager = t.lock_home.(lock) in
+        let body = Proto.Lock_req { lock; requester = nd.id; req; vc } in
+        if manager = nd.id then
+          (* Even a local request goes through the handler fiber: the
+             manager's tail pointer and the forwards it emits must mutate
+             in one logical order, and the handler (whose clock tracks its
+             queue) is that order.  A direct call here could run with a
+             lagging application clock and launch a forward that overtakes
+             an earlier one on the wire, breaking the token chain. *)
+          K.loopback t.k fiber ~node body
+        else send t fiber ~src:nd.id ~dst:manager body)
+      (function
+      | Proto.Lock_grant { vc = granter_vc; records; _ } ->
+          register_records t fiber nd records;
+          Vc.max_into ~into:nd.vc granter_vc;
+          ls.has_token <- true;
+          ls.in_use <- true
+      | _ -> failwith "acquire: unexpected response");
     Counters.incr t.counters "tmk.lock_remote"
   end
 
@@ -749,22 +614,16 @@ let acquire t fiber ~node ~lock =
    is what keeps eagerly-delivered notices causally ordered (and is the
    latency conventional RC pays at every release). *)
 let eager_notice_broadcast t fiber nd (record : Record.t) =
-  let req = fresh_req nd in
-  let mb = register_req t nd req in
-  for dst = 0 to t.cfg.n_nodes - 1 do
-    if dst <> nd.id then
-      send t fiber ~src:nd.id ~dst
-        (Proto.Eager_notice { record; requester = nd.id; req })
-  done;
-  for _ = 1 to t.cfg.n_nodes - 1 do
-    match
-      Engine.with_category fiber Engine.Net_wait (fun () ->
-          Mailbox.recv fiber mb)
-    with
+  K.call t.k fiber ~node:nd.id ~replies:(t.cfg.n_nodes - 1) Engine.Net_wait
+    (fun req ->
+      for dst = 0 to t.cfg.n_nodes - 1 do
+        if dst <> nd.id then
+          send t fiber ~src:nd.id ~dst
+            (Proto.Eager_notice { record; requester = nd.id; req })
+      done)
+    (function
     | Proto.Eager_ack _ -> ()
-    | _ -> failwith "eager release: unexpected response"
-  done;
-  finish_req nd req
+    | _ -> failwith "eager release: unexpected response")
 
 let after_close t fiber nd ~lock closed =
   match closed with
@@ -781,16 +640,16 @@ let after_close t fiber nd ~lock closed =
           then eager_broadcast t fiber nd record)
 
 let release t fiber ~node ~lock =
+  K.check_lock lock;
   let nd = t.nodes.(node) in
-  Engine.sync fiber;
-  drain_steal fiber nd;
+  K.enter t.k fiber node;
   Engine.with_category fiber Engine.Protocol @@ fun () ->
   let closed = close_interval t fiber nd in
   after_close t fiber nd ~lock:(Some lock) closed;
   let ls = nd.locks.(lock) in
   if not ls.in_use then invalid_arg "Tmk.release: lock not held";
   ls.in_use <- false;
-  Engine.advance fiber t.cfg.local_lock_cycles;
+  Engine.advance fiber local_lock_cycles;
   if not (Waitq.wake_one ls.local_waiters ~at:(Engine.clock fiber)) then
     if ls.has_token && not (Queue.is_empty ls.remote_waiters) then begin
       let requester, req, req_vc = Queue.pop ls.remote_waiters in
@@ -821,9 +680,7 @@ let send_departs t fiber mgr ~id =
       let body = Proto.Barrier_depart { barrier = id; req; vc = merged; records } in
       if node = mgr.id then
         (* Local departure: no message. *)
-        match Hashtbl.find_opt mgr.pending_reqs req with
-        | Some mb -> Mailbox.post mb ~at:(Engine.clock fiber) body
-        | None -> failwith "barrier: missing local arrival mailbox"
+        K.post t.k ~node ~req body ~at:(Engine.clock fiber)
       else send t fiber ~src:mgr.id ~dst:node body)
     arrivals;
   Counters.incr t.counters "tmk.barriers"
@@ -842,9 +699,9 @@ let note_arrival t fiber mgr ~id ~node ~req ~arr_vc ~records =
   if List.length b.arrivals = t.cfg.n_nodes then send_departs t fiber mgr ~id
 
 let barrier_arrive t fiber ~node ~id =
+  K.check_barrier id;
   let nd = t.nodes.(node) in
-  Engine.sync fiber;
-  drain_steal fiber nd;
+  K.enter t.k fiber node;
   Engine.with_category fiber Engine.Protocol @@ fun () ->
   let closed = close_interval t fiber nd in
   after_close t fiber nd ~lock:None closed;
@@ -852,26 +709,22 @@ let barrier_arrive t fiber ~node ~id =
     Record.Store.range nd.store ~creator:nd.id ~lo:nd.sent_to_manager ~hi:nd.seq
   in
   nd.sent_to_manager <- nd.seq;
-  let req = fresh_req nd in
-  let mb = register_req t nd req in
-  let mgr_id = t.barrier_home in
-  let arr_vc = Vc.copy nd.vc in
-  if mgr_id = nd.id then
-    note_arrival t fiber t.nodes.(mgr_id) ~id ~node:nd.id ~req ~arr_vc
-      ~records:own_records
-  else
-    send t fiber ~src:nd.id ~dst:mgr_id
-      (Proto.Barrier_arrive
-         { barrier = id; node = nd.id; req; vc = arr_vc; records = own_records });
-  (match
-     Engine.with_category fiber Engine.Barrier_wait (fun () ->
-         Mailbox.recv fiber mb)
-   with
-  | Proto.Barrier_depart { vc; records; _ } ->
-      register_records t fiber nd records;
-      Vc.max_into ~into:nd.vc vc
-  | _ -> failwith "barrier: unexpected response");
-  finish_req nd req
+  K.call t.k fiber ~node Engine.Barrier_wait
+    (fun req ->
+      let mgr_id = t.barrier_home in
+      let arr_vc = Vc.copy nd.vc in
+      if mgr_id = nd.id then
+        note_arrival t fiber t.nodes.(mgr_id) ~id ~node ~req ~arr_vc
+          ~records:own_records
+      else
+        send t fiber ~src:nd.id ~dst:mgr_id
+          (Proto.Barrier_arrive
+             { barrier = id; node; req; vc = arr_vc; records = own_records }))
+    (function
+    | Proto.Barrier_depart { vc; records; _ } ->
+        register_records t fiber nd records;
+        Vc.max_into ~into:nd.vc vc
+    | _ -> failwith "barrier: unexpected response")
 
 (* ------------------------------------------------------------------ *)
 (* Failure-atomic checkpoints and crash recovery (DESIGN.md §13)       *)
@@ -910,8 +763,7 @@ let checkpoint t nd =
          large working set keeps every twinned page perpetually dirty,
          the per-sweep scan outruns the checkpoint interval, and the
          run quasi-livelocks. *)
-      nd.steal :=
-        !(nd.steal) + ov.handler + (ov.diff_per_word * ((!bytes + 7) / 8));
+      K.charge t.k nd.id (ov.handler + (ov.diff_per_word * ((!bytes + 7) / 8)));
       Counters.incr t.counters "ckpt.count";
       Counters.add t.counters "ckpt.bytes" !bytes
 
@@ -939,7 +791,7 @@ let rejoin t nd =
         nd.own_diffs;
       Array.iteri
         (fun p st ->
-          if st.valid && st.twin = None && not (Hashtbl.mem nd.inflight p)
+          if st.valid && st.twin = None && not (K.fetching t.k ~node:nd.id p)
           then begin
             let snap = rv.snap.(p) in
             let stale = ref [] in
@@ -961,16 +813,16 @@ let rejoin t nd =
                 !stale;
               st.valid <- false;
               update_rights t nd p;
-              t.page_hook ~node:nd.id ~page:p;
+              K.page_changed t.k ~node:nd.id ~page:p;
               Counters.incr t.counters "recovery.invalidated"
             end
           end)
         nd.pages;
       let cycles =
         (overhead t).handler + Config.n_pages t.cfg
-        + (t.cfg.apply_per_word * !replay_words)
+        + (copy_per_word * !replay_words)
       in
-      nd.steal := !(nd.steal) + cycles;
+      K.charge t.k nd.id cycles;
       Counters.incr t.counters "recovery.count";
       Counters.add t.counters "recovery.cycles" cycles;
       Counters.add t.counters "recovery.replay_bytes" (8 * !replay_words)
@@ -980,40 +832,27 @@ let rejoin t nd =
    manager role with its stashed arrival records.  Requests already in
    flight — or parked in a peer's retransmit queue — still name the dead
    node; its handler forwards them to the new home after restart. *)
-let rehome t lc ~dead =
-  let n = t.cfg.n_nodes in
-  let successor =
-    let rec go k =
-      if k >= n then None
-      else
-        let c = (dead + k) mod n in
-        if Lifecycle.alive lc c then Some c else go (k + 1)
-    in
-    go 1
-  in
-  match successor with
-  | None -> ()
-  | Some s ->
-      let moved = ref 0 in
-      Array.iteri
-        (fun l home ->
-          if home = dead then begin
-            t.lock_home.(l) <- s;
-            t.nodes.(s).locks.(l).tail <- t.nodes.(dead).locks.(l).tail;
-            incr moved
-          end)
-        t.lock_home;
-      if t.barrier_home = dead then begin
-        t.barrier_home <- s;
-        Array.iter
-          (fun b ->
-            List.iter
-              (fun r -> ignore (Record.Store.add t.nodes.(s).store r))
-              b.stash)
-          t.barriers;
+let rehome t ~dead s =
+  let moved = ref 0 in
+  Array.iteri
+    (fun l home ->
+      if home = dead then begin
+        t.lock_home.(l) <- s;
+        t.nodes.(s).locks.(l).tail <- t.nodes.(dead).locks.(l).tail;
         incr moved
-      end;
-      if !moved > 0 then Counters.add t.counters "recovery.rehomes" !moved
+      end)
+    t.lock_home;
+  if t.barrier_home = dead then begin
+    t.barrier_home <- s;
+    Array.iter
+      (fun b ->
+        List.iter
+          (fun r -> ignore (Record.Store.add t.nodes.(s).store r))
+          b.stash)
+      t.barriers;
+    incr moved
+  end;
+  if !moved > 0 then Counters.add t.counters "recovery.rehomes" !moved
 
 (* ------------------------------------------------------------------ *)
 (* Message handler daemon                                              *)
@@ -1029,20 +868,14 @@ let serve_diff_req t fiber nd ~page ~requester ~req ~lo ~hi ~in_size =
     Proto.Diff_resp { page; req; creator = nd.id; diffs = !diffs }
   in
   send t fiber ~src:nd.id ~dst:requester body;
-  nd.steal :=
-    !(nd.steal)
-    + serve_cost t ~in_size ~out_size:(Proto.sizes body) ~replied:true
-
-let route_response t nd ~req body ~at =
-  ignore t;
-  match Hashtbl.find_opt nd.pending_reqs req with
-  | Some mb -> Mailbox.post mb ~at body
-  | None -> failwith "route_response: no pending request"
+  K.charge t.k nd.id
+    (serve_cost t ~in_size ~out_size:(Proto.sizes body) ~replied:true)
 
 let handle t fiber nd (env : Proto.t Msg.envelope) =
   let in_size = env.size in
   let steal_simple () =
-    nd.steal := !(nd.steal) + serve_cost t ~in_size ~out_size:zero_size ~replied:false
+    K.charge t.k nd.id
+      (serve_cost t ~in_size ~out_size:zero_size ~replied:false)
   in
   match env.body with
   | Proto.Lock_req { lock; requester; req; vc } as body ->
@@ -1084,41 +917,17 @@ let handle t fiber nd (env : Proto.t Msg.envelope) =
   | Proto.Barrier_depart { req; _ } | Proto.Eager_ack { req } ->
       (* Response for a blocked application fiber: route, no steal (the
          application is idle waiting for it anyway). *)
-      route_response t nd ~req env.body ~at:(Engine.clock fiber)
-
-let handler_loop t nd fiber =
-  let rec loop () =
-    let env =
-      Engine.with_category fiber Engine.Net_wait (fun () ->
-          Reliable.recv t.net fiber ~node:nd.id)
-    in
-    Engine.with_category fiber Engine.Protocol (fun () ->
-        handle t fiber nd env);
-    loop ()
-  in
-  loop ()
+      K.post t.k ~node:nd.id ~req env.body ~at:(Engine.clock fiber)
 
 let start t =
-  Reliable.start t.net;
-  (match t.lifecycle with
-  | None -> ()
-  | Some lc ->
-      Lifecycle.on_ckpt lc (fun ~at:_ ->
-          Array.iter
-            (fun nd -> if Lifecycle.alive lc nd.id then checkpoint t nd)
-            t.nodes);
-      Lifecycle.on_detect lc (fun ~node ~at:_ -> rehome t lc ~dead:node);
-      Lifecycle.on_restart lc (fun ~node ~at:_ -> rejoin t t.nodes.(node)));
-  Array.iter
-    (fun nd ->
-      ignore
-        (Engine.spawn t.eng ~daemon:true
-           ~name:(Printf.sprintf "tmk-handler-%d" nd.id)
-           ~at:0
-           (fun fiber -> handler_loop t nd fiber)))
-    t.nodes
-
-let retx_note t = Reliable.pending_note t.net
+  K.start t.k ~name:"tmk"
+    ~recovery:
+      {
+        K.ckpt = (fun node -> checkpoint t t.nodes.(node));
+        rehome = rehome t;
+        rejoin = (fun node -> rejoin t t.nodes.(node));
+      }
+    (fun fiber node env -> handle t fiber t.nodes.(node) env)
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)

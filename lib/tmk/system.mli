@@ -36,7 +36,8 @@ type t
     [recovery.invalidated]).  The caller must attach the same lifecycle
     to the fabric (before [create]) so in-flight messages to a down node
     drop and its retransmit timers freeze.  Without [?lifecycle] every
-    code path is byte-identical to the pre-crash-layer system. *)
+    code path is byte-identical to the pre-crash-layer system.  Raises
+    [Invalid_argument] when [cfg.page_words] is not a power of two. *)
 val create :
   ?lifecycle:Shm_sim.Lifecycle.t ->
   Shm_sim.Engine.t ->
@@ -51,34 +52,13 @@ val config : t -> Config.t
 (** [memory t ~node] is the node's private copy of the shared space. *)
 val memory : t -> node:int -> Shm_memsys.Memory.t
 
-(** [set_page_hook t f] registers [f ~node ~page], called whenever a page's
-    contents are replaced under the application's feet (diffs applied), so
-    the platform can invalidate stale cache lines. *)
-val set_page_hook : t -> (node:int -> page:int -> unit) -> unit
+(** [kit t] is the node kit the system runs on: the software TLB, the
+    page hook and the reliable channel behind the mounted instance. *)
+val kit : t -> Proto.t Shm_proto.Node_kit.t
 
 (** [start t] spawns one message-handler daemon fiber per node (plus the
     reliable layer's retransmit daemons when faults are armed). *)
 val start : t -> unit
-
-(** [retx_note t] is {!Shm_net.Reliable.pending_note} for the system's
-    channel — pass as [diag] to {!Shm_sim.Engine.run} so deadlock/watchdog
-    reports show per-node pending retransmissions. *)
-val retx_note : t -> string
-
-val page_of : t -> int -> int
-
-(** [page_shift t] is [log2 page_words], or [-1] when [page_words] is not
-    a power of two (then the TLB fast path must not be used). *)
-val page_shift : t -> int
-
-(** [access_rights t ~node] is the node's software TLB: one byte per page,
-    ['\000'] = a guard call must run (fault), ['\001'] = reads may skip the
-    guard, ['\002'] = reads and writes may skip it (twin already in place,
-    or single-node run).  Maintained by the protocol on every
-    valid/twin transition; callers must treat it as read-only.  A platform
-    hot path indexes it with [addr lsr page_shift] and falls back to
-    {!read_guard}/{!write_guard} on a miss. *)
-val access_rights : t -> node:int -> Bytes.t
 
 (** {2 Called from processor fibers} *)
 
@@ -88,9 +68,8 @@ val write_guard : t -> Shm_sim.Engine.fiber -> node:int -> int -> unit
 
 (** [read_range_guard t fiber ~node addr words ~f] guards every page
     overlapping the range once, in address order, calling [f run_addr
-    run_words] for each in-page run immediately after that page's guard.
-    Observably identical to guarding word by word: faults, cycles and
-    messages happen at the same points.  [f] must not yield. *)
+    run_words] for each in-page run immediately after that page's guard
+    ({!Shm_proto.Node_kit.walk}).  [f] must not yield. *)
 val read_range_guard :
   t -> Shm_sim.Engine.fiber -> node:int -> int -> int ->
   f:(int -> int -> unit) -> unit
@@ -101,6 +80,8 @@ val write_range_guard :
   t -> Shm_sim.Engine.fiber -> node:int -> int -> int ->
   f:(int -> int -> unit) -> unit
 
+(** Lock ids run [0 .. Hw_sync.max_locks - 1] and barrier ids
+    [0 .. Hw_sync.max_barriers - 1]; others raise [Invalid_argument]. *)
 val acquire : t -> Shm_sim.Engine.fiber -> node:int -> lock:int -> unit
 
 val release : t -> Shm_sim.Engine.fiber -> node:int -> lock:int -> unit

@@ -224,6 +224,13 @@ let test_refusals () =
   check_refused "nprocs beyond a flat machine's capacity" (fun () ->
       (Machines.get "sgi").Platform.run (quick_app "sor") ~nprocs:9)
 
+let mentions msg sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+  in
+  go 0
+
 (* An app with one partial-sum slot per processor refuses a run with
    more processors than slots, naming the parameter, before anything is
    allocated (it used to die on an assert deep inside the run). *)
@@ -232,14 +239,60 @@ let test_slots_refused () =
   match (Machines.get "topo:lrc*8").Platform.run app ~nprocs:8 with
   | _ -> Alcotest.fail "sor with 4 slots ran on 8 processors"
   | exception Invalid_argument msg ->
-      let mentions sub =
-        let n = String.length sub in
-        let rec go i =
-          i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
-        in
-        go 0
-      in
-      Alcotest.(check bool) ("message names slots: " ^ msg) true (mentions "slots")
+      Alcotest.(check bool) ("message names slots: " ^ msg) true
+        (mentions msg "slots")
+
+(* Lock and barrier ids share one range on every machine, the hardware
+   sync region's.  Water takes one lock per molecule, so more molecules
+   than lock ids is refused by the registry, naming the parameter, on
+   software and hardware machines alike (the TreadMarks engines used to
+   die mid-run on an array bound, the hardware ones mid-run in the sync
+   region).  An id past the range that reaches any engine gets the one
+   refusal message. *)
+let test_sync_ids_refused () =
+  List.iter
+    (fun spec ->
+      match
+        (Machines.topology spec).Platform.run
+          (Registry.app ~scale:Registry.Quick
+             ~params:[ ("molecules", "1100") ] "water")
+          ~nprocs:4
+      with
+      | _ -> Alcotest.failf "water with 1100 molecules ran on %s" spec
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (spec ^ " names molecules: " ^ msg)
+            true (mentions msg "molecules"))
+    [ "lrc*4"; "ivy*4"; "mesi*4@sgi" ];
+  let module Hw_sync = Shm_memsys.Hw_sync in
+  let refusal check id =
+    match check id with
+    | () -> Alcotest.fail "id accepted"
+    | exception Invalid_argument msg -> msg
+  in
+  let probe work =
+    { Parmacs.name = "id-probe"; shared_words = 512; eager_lock_hints = [];
+      init = ignore; work; checksum_addr = 0; stats = Parmacs.no_stats;
+      max_procs = max_int }
+  in
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun (what, work, expected) ->
+          let p = Machines.topology spec in
+          match p.Platform.run (probe work) ~nprocs:4 with
+          | _ -> Alcotest.failf "%s: out-of-range %s id accepted" spec what
+          | exception Invalid_argument msg ->
+              Alcotest.(check string) (spec ^ " " ^ what) expected msg)
+        [
+          ( "lock",
+            (fun ctx -> ctx.Parmacs.lock Hw_sync.max_locks),
+            refusal Hw_sync.check_lock Hw_sync.max_locks );
+          ( "barrier",
+            (fun ctx -> ctx.Parmacs.barrier Hw_sync.max_barriers),
+            refusal Hw_sync.check_barrier Hw_sync.max_barriers );
+        ])
+    [ "lrc*4"; "erc*4"; "ivy*4"; "tardis*4"; "mesi*4@sgi"; "directory*4" ]
 
 let suite =
   [
@@ -265,4 +318,6 @@ let suite =
     Alcotest.test_case "refusals before construction" `Quick test_refusals;
     Alcotest.test_case "nprocs beyond an app's slots refused" `Quick
       test_slots_refused;
+    Alcotest.test_case "lock and barrier ids refused alike" `Quick
+      test_sync_ids_refused;
   ]
