@@ -225,6 +225,33 @@ let test_multiwriter_through_locks () =
   Engine.run c.eng;
   System.check_invariants c.sys
 
+(* Pages are a power-of-two number of words on every software engine
+   (the node kit finds a page by shift); anything else is refused when
+   the system is created. *)
+let test_page_words_refused () =
+  let eng = Engine.create () and counters = Counters.create () in
+  let fabric () =
+    Fabric.create eng counters
+      (Fabric.atm_dec ~overhead:Overhead.treadmarks_user)
+      ~nodes:2
+  in
+  let memories = Array.init 2 (fun _ -> Memory.create ~words:1000) in
+  let refused what create =
+    match create () with
+    | () -> Alcotest.failf "%s accepted 500-word pages" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "tmk" (fun () ->
+      let cfg =
+        { (Config.default ~n_nodes:2 ~shared_words:1000) with
+          Config.page_words = 500 }
+      in
+      ignore (System.create eng counters (fabric ()) cfg ~memories));
+  refused "ivy" (fun () ->
+      ignore
+        (Shm_ivy.System.create eng counters (fabric ()) ~page_words:500
+           ~shared_words:1000 ~memories))
+
 let suite =
   [
     Alcotest.test_case "write notices are transitive" `Quick
@@ -241,4 +268,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_linear_key_respects_order;
     Alcotest.test_case "multiple writers through locks" `Quick
       test_multiwriter_through_locks;
+    Alcotest.test_case "non-power-of-two pages refused" `Quick
+      test_page_words_refused;
   ]
