@@ -1647,6 +1647,17 @@ let () =
      minor heap cuts collection counts by two orders of magnitude. *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 };
   parse_args ();
+  (match
+     List.filter
+       (fun id -> not (List.exists (fun e -> e.id = id) experiments))
+       !only
+   with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "bench: unknown --only id %s; known ids: %s\n"
+        (String.concat "," unknown)
+        (String.concat "," (List.map (fun e -> e.id) experiments));
+      exit 2);
   if !list_only then
     List.iter (fun e -> Printf.printf "%-6s %s\n" e.id e.title) experiments
   else begin

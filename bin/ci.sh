@@ -92,7 +92,7 @@ if [ "$refusers" -ne 1 ]; then
 fi
 
 # Bench smoke under a parallel pool: one quick-scale exhibit with
-# --jobs 2 must succeed and emit a valid bench_access/5 JSON report,
+# --jobs 2 must succeed and emit a valid bench_access/7 JSON report,
 # byte-identical to the same exhibit at --jobs 1 modulo the wall-time
 # fields (run results and order must not depend on the pool width).
 smoke_json=$(mktemp)
@@ -210,6 +210,36 @@ for plat in treadmarks ivy; do
   done
 done
 rm -f "$crash_json"
+
+# Refusal smokes: an unknown bench exhibit id and a scheduled crash on a
+# node the machine does not have must each fail up front, naming the
+# problem, instead of running something else.  The bench must not write
+# its JSON report.
+refused_json=$(mktemp -u)
+if dune exec bench/main.exe -- --only nosuch --json "$refused_json" \
+     >/dev/null 2>&1; then
+  rm -f "$refused_json"
+  echo "ci: bench accepted an unknown --only id" >&2
+  exit 1
+fi
+if [ -e "$refused_json" ]; then
+  rm -f "$refused_json"
+  echo "ci: bench wrote a JSON report for an unknown --only id" >&2
+  exit 1
+fi
+if refusal=$(dune exec bin/shmsim.exe -- run -a sor -p treadmarks -n 4 \
+     --scale quick --crash 9@1000 2>&1); then
+  echo "ci: shmsim accepted a crash on node 9 of a 4-node machine" >&2
+  exit 1
+fi
+case "$refusal" in
+*"crash node 9 out of range: this machine has nodes 0..3"*) ;;
+*)
+  echo "ci: out-of-range crash refused without the range message:" >&2
+  echo "$refusal" >&2
+  exit 1
+  ;;
+esac
 
 # KV serving smoke (DESIGN.md §14): the sharded store under the
 # open-loop generator must pass its built-in differential check

@@ -70,13 +70,13 @@ type layout = {
    Doubling that keeps linear probes short; +2 guarantees a probe always
    terminates at an empty slot. *)
 let layout_of p =
-  let occ = Array.make p.shards 0 in
+  let keys_per_shard = Array.make p.shards 0 in
   for key = 0 to p.load.Loadgen.keys - 1 do
     let s = shard_of p key in
-    occ.(s) <- occ.(s) + 1
+    keys_per_shard.(s) <- keys_per_shard.(s) + 1
   done;
   let l = Layout.create () in
-  let shard_cap = Array.map (fun o -> (2 * o) + 2) occ in
+  let shard_cap = Array.map (fun o -> (2 * o) + 2) keys_per_shard in
   let shard_base =
     Array.map
       (fun cap -> Layout.alloc_aligned l (1 + (2 * cap)) ~align:page_words)

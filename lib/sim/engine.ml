@@ -256,7 +256,7 @@ let blocked_report t =
 let run ?max_cycles ?(diag = fun () -> "") t =
   let limit = match max_cycles with Some l -> l | None -> max_int in
   let queue = t.queue in
-  (* The inner loop reads the (cached) minimum time and pops just the
+  (* The inner loop reads the minimum time and pops just the
      event closure, so draining a same-timestamp batch is a sentinel
      compare, a pop, and a call per event — no option or pair boxing. *)
   let running = ref true in
@@ -281,8 +281,8 @@ let run ?max_cycles ?(diag = fun () -> "") t =
 
 let sync f =
   (* Fast path: if nothing is scheduled before our clock, yielding would be
-     a no-op; skip the effect.  [min_time_exn] is a cached sentinel read
-     ([max_int] when empty), so the common case is one compare. *)
+     a no-op; skip the effect.  [min_time_exn] is a read of the heap
+     root ([max_int] when empty), so the common case is one compare. *)
   if Pqueue.min_time_exn f.eng.queue <= f.fclock then Effect.perform (Yield f)
 
 let wait_until f time =

@@ -55,6 +55,14 @@ type t = {
 }
 
 let create eng counters policy ~nodes =
+  List.iter
+    (fun (node, _) ->
+      if node < 0 || node >= nodes then
+        invalid_arg
+          (Printf.sprintf
+             "crash node %d out of range: this machine has nodes 0..%d" node
+             (nodes - 1)))
+    policy.crashes;
   {
     eng;
     policy;

@@ -29,6 +29,10 @@ val active : policy -> bool
 
 type t
 
+(** [create eng counters policy ~nodes] makes the liveness state of
+    nodes [0 .. nodes-1].
+    @raise Invalid_argument if a scheduled crash names a node outside
+    that range. *)
 val create : Engine.t -> Shm_stats.Counters.t -> policy -> nodes:int -> t
 
 val nodes : t -> int

@@ -1,18 +1,13 @@
-(** Hierarchical timing-wheel priority queue keyed by [(time, seq)].
+(** Priority queue of simulation events keyed by [(time, seq)].
 
     The sequence number is assigned internally at insertion, so two entries
     with the same time pop in insertion order.  This is what makes the
     simulation deterministic.
 
-    Near-future events (within 2^24 ticks of the last popped time) live in
-    a three-level wheel of 256-slot arrays with per-slot FIFO chains built
-    from a preallocated node pool, so the steady-state push/pop cycle
-    allocates nothing.  Events outside the wheel window — far-future or
-    (for standalone users; the engine never does this) scheduled in the
-    past — fall back to an index-sorted binary heap over the same pool.
-    Pop compares the wheel head against the heap root under the same
-    [(time, seq)] order, so the observable pop sequence is identical to a
-    single binary heap's. *)
+    The queue is one binary min-heap of indices into a pool of event
+    nodes.  The pool doubles when full and is never shrunk, so once it
+    has grown to a run's working set the push/pop cycle allocates
+    nothing. *)
 
 type 'a t
 
@@ -38,11 +33,6 @@ val pop : 'a t -> int * 'a
     @raise Not_found if the queue is empty. *)
 val pop_event : 'a t -> 'a
 
-(** [min_time q] is the time of the minimum entry without removing it. *)
-val min_time : 'a t -> int option
-
-(** [min_time_exn q] is [min_time] without the [Some] box: the minimum
-    entry's time, or [max_int] when the queue is empty.  O(1) when the
-    minimum is unchanged since the last call (the common case on the
-    engine's yield fast path). *)
+(** [min_time_exn q] is the minimum entry's time without removing it, or
+    [max_int] when the queue is empty.  O(1): a read of the heap root. *)
 val min_time_exn : 'a t -> int

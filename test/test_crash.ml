@@ -210,6 +210,16 @@ let test_refusals () =
       ignore (Machines.get ~crash:Lifecycle.none plat : Platform.t))
     [ "dec"; "sgi"; "ah"; "hs"; "treadmarks"; "ivy" ]
 
+(* A scheduled crash on a node the machine does not have is refused by
+   name, not skipped: the policy would otherwise still arm checkpoints
+   and change the run's timing. *)
+let test_crash_node_out_of_range () =
+  let crash = { Lifecycle.none with Lifecycle.crashes = [ (9, 1000) ] } in
+  Alcotest.check_raises "crash on node 9 of 4"
+    (Invalid_argument
+       "crash node 9 out of range: this machine has nodes 0..3")
+    (fun () -> ignore (run ~crash "treadmarks" "sor" ~n:4 : Report.t))
+
 let suite =
   [
     Alcotest.test_case "crash-churn matrix recovers to goldens" `Slow
@@ -223,4 +233,6 @@ let suite =
     Alcotest.test_case "crash run within 2x of crash-free wall" `Slow
       test_crash_cost_bounded;
     Alcotest.test_case "refusals: hardware and tardis" `Quick test_refusals;
+    Alcotest.test_case "refusals: crash node out of range" `Quick
+      test_crash_node_out_of_range;
   ]

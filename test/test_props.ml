@@ -102,15 +102,15 @@ let prop_pqueue_sorts =
       done;
       List.rev !out = List.sort compare times)
 
-(* Observational equivalence of the timing wheel against a naive stable
+(* Observational equivalence of the event queue against a naive stable
    reference queue.  Generated scripts interleave pushes and pops; push
-   times mix same-tick ties (FIFO order must hold), small steps that stay
-   in wheel level 0, strides that land in levels 1-2, and far-future
-   outliers that take the heap tier.  Because pops advance the wheel's
-   internal horizon, later small pushes also exercise the past-time heap
-   path.  Pop results, peeked minima and lengths must match the reference
-   at every step. *)
-let prop_pqueue_wheel_matches_reference =
+   times mix same-tick ties (FIFO order must hold), small steps, strides
+   of up to 2^17 and 2^25 ticks, and far-future times up to 2^29.  As
+   pops advance the minimum, later small pushes land before times already
+   popped, which the engine never produces (it clamps to the current
+   time) but a standalone user may.  Pop results, peeked minima and
+   lengths must match the reference at every step. *)
+let prop_pqueue_matches_reference =
   let time_gen =
     QCheck.Gen.(
       frequency
@@ -133,7 +133,7 @@ let prop_pqueue_wheel_matches_reference =
       QCheck.Gen.(list_size (int_bound 400) (pair bool time_gen))
   in
   QCheck.Test.make ~count:200
-    ~name:"timing wheel matches stable reference queue (FIFO ties)" arb_ops
+    ~name:"pqueue matches stable reference queue (FIFO ties)" arb_ops
     (fun ops ->
       let q = Pqueue.create ~dummy:(-1) in
       (* Reference: (time, seq) pairs; min is lexicographic (time, seq),
@@ -247,7 +247,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_diff_twin_apply_matches;
     QCheck_alcotest.to_alcotest prop_diff_words_bound;
     QCheck_alcotest.to_alcotest prop_pqueue_sorts;
-    QCheck_alcotest.to_alcotest prop_pqueue_wheel_matches_reference;
+    QCheck_alcotest.to_alcotest prop_pqueue_matches_reference;
     QCheck_alcotest.to_alcotest prop_msg_total;
     QCheck_alcotest.to_alcotest prop_layout_aligned;
     QCheck_alcotest.to_alcotest prop_tsp_distances_symmetric;

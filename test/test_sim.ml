@@ -33,6 +33,29 @@ let test_pqueue_fifo_ties () =
     Alcotest.(check int) "insertion order on equal keys" i v
   done
 
+(* DESIGN.md §12: once the pool has grown to the working set, the
+   engine's peek/push/pop cycle allocates nothing. *)
+let test_pqueue_steady_state_zero_alloc () =
+  let q = Pqueue.create ~dummy:ignore in
+  let f () = () in
+  let next = ref 0 in
+  let step () =
+    next := (!next * 1103515245 + 12345) land 0x3fffffff;
+    !next land 0xfff
+  in
+  for i = 0 to 299 do
+    Pqueue.push q ~time:(i + step ()) f
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    let now = Pqueue.min_time_exn q in
+    Pqueue.push q ~time:(now + step ()) f;
+    Pqueue.pop_event q ()
+  done;
+  let allocated = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words over 100k push+pop" 0.0 allocated;
+  Alcotest.(check int) "queue size unchanged" 300 (Pqueue.length q)
+
 let test_fiber_clocks () =
   let eng = Engine.create () in
   let log = ref [] in
@@ -220,6 +243,8 @@ let suite =
     Alcotest.test_case "pqueue breaks ties FIFO" `Quick test_pqueue_fifo_ties;
     Alcotest.test_case "pqueue pop releases the vacated entry" `Quick
       test_pqueue_pop_releases_entry;
+    Alcotest.test_case "pqueue steady-state push+pop allocates nothing" `Quick
+      test_pqueue_steady_state_zero_alloc;
     Alcotest.test_case "fiber clocks interleave by time" `Quick test_fiber_clocks;
     Alcotest.test_case "wait_until advances the clock" `Quick test_wait_until;
     Alcotest.test_case "suspend/resume" `Quick test_suspend_resume;
